@@ -1,5 +1,6 @@
 """Tests for the stochastic-trajectory verification path."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -280,3 +281,67 @@ def test_workers_validation():
     cfg = TrajectoryConfig(dt=0.01, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
     with pytest.raises(InvalidInputError, match="n_workers"):
         ensemble_average(spec, fp, cfg, n_workers=0)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the little-endian float64 bytes of mean_stokes then stderr,
+# pinned on the block-at-a-time kernel: any kernel rewrite must keep them
+GOLDEN_ENSEMBLES = {
+    # 2600 = 10 full blocks + a 40-trajectory tail, wider than one group
+    "tail-block-above-group": (
+        ensemble_average,
+        dict(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0)),
+        dict(omega0=1.0),
+        dict(dt=0.01, n_steps=20, n_traj=2600, seed=31, initial=(1.0, 0.0, 0.0)),
+        1,
+        "d830ec929e1b10e6fd0a3bb53d374baed66f06034edd8a74566c938cc0dba608",
+    ),
+    # 777 steps end in a partial draw chunk; 300 trajectories leave a tail block
+    "partial-chunk": (
+        ensemble_average,
+        dict(g=(0.05, 0.02, 0.04), lam=(2.0, 3.0, 2.5)),
+        dict(omega0=1.0),
+        dict(dt=0.01, n_steps=777, n_traj=300, seed=5, initial=(0.6, 0.0, 0.8)),
+        2,
+        "8dc91858e3e3371de596294f33e0a687dac5d86be7d5aaf09b56beaf8df1f888",
+    ),
+    "off-axis-biased": (
+        ensemble_average,
+        dict(g=(0.04, 0.03, 0.02), lam=(1.5, 2.0, 2.5), mean=(0.3, -0.2, 0.1)),
+        dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
+        dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
+        1,
+        "ac01564419b0b2f4ed449e323668409e8152751ea9d839b43a2d5c810c02fbc0",
+    ),
+    "round-trip": (
+        mc_double_pass,
+        dict(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0)),
+        dict(omega0=1.3),
+        dict(dt=0.01, n_steps=130, n_traj=300, seed=19, initial=(0.0, 0.0, 1.0)),
+        3,
+        "c12f951429e77b966dddb0c5dea94690c596bb7a722dc09de2de8e2db26f7284",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
+def test_golden_ensemble_bits(case):
+    runner, noise, precession, traj, n_workers, expected = GOLDEN_ENSEMBLES[case]
+    cfg = TrajectoryConfig(**{**traj, "initial": StokesVector(*traj["initial"])})
+    ens = runner(NoiseSpec(**noise), FreePrecession(**precession), cfg, n_workers=n_workers)
+    assert _digest(ens.mean_stokes, ens.stderr) == expected
+
+
+def test_golden_trajectory_bits():
+    spec = NoiseSpec(g=(0.04, 0.03, 0.02), lam=(1.5, 2.0, 2.5), mean=(0.3, -0.2, 0.1))
+    fp = FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8))
+    cfg = TrajectoryConfig(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11,
+                           initial=StokesVector(0.3, -0.5, 0.6))
+    expected = "bbed23774055e518fc0175d5c1f34b49b63f68fa82dcadeabf084b879305df5a"
+    assert _digest(evolve_trajectory(spec, fp, cfg, 257)) == expected
