@@ -16,18 +16,29 @@ Determinism contract
 --------------------
 Trajectory j draws all of its normals from a counter-based Philox
 stream keyed by (seed, j), independent of every other trajectory and of
-how work is scheduled.  Trajectories are processed in fixed-size blocks
-(_BLOCK); each block accumulates running mean and squared-deviation
-moments in trajectory order, and blocks are merged in block order, so
-ensemble means and standard errors are bit-identical for any worker
-count at a fixed seed.  The running-moment form also keeps the variance
-of an ensemble of identical trajectories at exactly zero, which the
-zero-noise limit relies on.
+how work is scheduled.  Moments are accumulated in fixed-size blocks
+(_BLOCK = 256 trajectories); each block accumulates running mean and
+squared-deviation moments in trajectory order, and blocks are merged in
+block order, so ensemble means and standard errors are bit-identical for
+any worker count at a fixed seed.  The running-moment form also keeps
+the variance of an ensemble of identical trajectories at exactly zero,
+which the zero-noise limit relies on.
 
-Draw order per trajectory and segment: one (n_steps + 1, 3) block of
+The propagation width is decoupled from the moment block: a group of
+_GROUP_BLOCKS blocks is advanced side by side in component-major
+(3, width) arrays, and a worker takes one group at a time.  Every step
+applies the same elementwise operations in the same order whatever the
+width, so the states, and hence the moments, carry the same bits as a
+block-at-a-time or one-trajectory-at-a-time run.
+
+Draw order per trajectory and segment: n_steps + 1 rows of three
 standard normals; row 0 initializes F from its stationary law
-N(mean, G), row k relaxes F to time k dt.  A round trip draws a second
-such block for the return pass: the return-pass field is a fresh
+N(mean, G), row k relaxes F to time k dt.  The rows after row 0 are
+drawn _CHUNK at a time from the same per-trajectory stream, which yields
+the same values as one (n_steps + 1, 3) draw; only the current chunk's
+normals and states are held, so memory does not grow with n_steps
+beyond the (rows, 3) moments themselves.  A round trip draws a second
+such sequence for the return pass: the return-pass field is a fresh
 stationary realization, not a time-reversed replay, because the flight
 time far exceeds the noise correlation time.
 """
@@ -40,13 +51,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedConfigurationError
+from .errors import InvalidInputError
 from .generator import params_from_kossakowski
-from .noise import FreePrecession, NoiseSpec, c_matrix_closed, effective_hamiltonian
+from .noise import (
+    FreePrecession,
+    NoiseSpec,
+    _require_axis3_zero_mean,
+    c_matrix_closed,
+    effective_hamiltonian,
+)
 from .propagator import mueller_exact
 from .states import StokesVector
 
 _BLOCK = 256
+#: blocks propagated side by side: a group is one worker's unit of work
+_GROUP_BLOCKS = 8
+#: steps whose normals are drawn, and whose states are recorded, at a time
+_CHUNK = 64
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
 Z_ABS_TOL = 1e-9
@@ -130,6 +151,12 @@ class MCComparisonReport:
             object.__setattr__(self, name, arr)
 
 
+def _ou_coefficients(g, lam, dt):
+    """Per-step decay e^{-lam dt} and kick scale sqrt(g (1 - e^{-2 lam dt}))."""
+    decay = np.exp(-lam * dt)
+    return decay, np.sqrt(g * (1.0 - decay**2))
+
+
 def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     """One exact Ornstein-Uhlenbeck update over a step of length dt.
 
@@ -150,8 +177,7 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
         raise InvalidInputError("lam must be positive")
     if not dt > 0.0:
         raise InvalidInputError("dt must be positive")
-    decay = np.exp(-lam * dt)
-    sigma = np.sqrt(g * (1.0 - decay**2))
+    decay, sigma = _ou_coefficients(g, lam, dt)
     return mean + (f_prev - mean) * decay + sigma * noise
 
 
@@ -160,90 +186,171 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_segment(bloch, field, normals, axis_term, mean, decay, step_sigma, dt, out):
-    """Advance a block one segment, recording each post-step state into out."""
-    n_steps = normals.shape[1] - 1
-    for k in range(n_steps):
-        v = axis_term + field
-        vnorm = np.sqrt(np.sum(v * v, axis=1))
-        theta = 2.0 * dt * vnorm
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
-        unit = v / np.maximum(vnorm, 1e-300)[:, None]
-        along = np.sum(unit * bloch, axis=1)
-        cross = np.cross(unit, bloch)
-        bloch = (
-            cos_t[:, None] * bloch
-            + ((1.0 - cos_t) * along)[:, None] * unit
-            + sin_t[:, None] * cross
-        )
-        out[:, k] = bloch
-        field = mean + (field - mean) * decay + step_sigma * normals[:, k + 1]
-    return bloch
+def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
+               indices: list[int], round_trip: bool, consume) -> None:
+    """Advance the given trajectories side by side, one draw chunk at a time.
 
-
-def _block_states(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-                  j0: int, j1: int, round_trip: bool) -> np.ndarray:
-    """All recorded states of trajectories [j0, j1), shape (blk, rows, 3)."""
-    blk = j1 - j0
-    n = cfg.n_steps
-    g = np.array(spec.g)
-    lam = np.array(spec.lam)
-    mean = np.array(spec.mean)
-    decay = np.exp(-lam * cfg.dt)
-    step_sigma = np.sqrt(g * (1.0 - decay**2))
-    stationary_sigma = np.sqrt(g)
-    axis_term = 0.5 * fp.omega0 * np.array(fp.n)
-
-    gens = [_traj_rng(cfg.seed, j) for j in range(j0, j1)]
-    normals = np.stack([gen.standard_normal((n + 1, 3)) for gen in gens])
-
-    rows = 2 * n + 1 if round_trip else n + 1
-    states = np.empty((blk, rows, 3))
-    states[:, 0] = cfg.initial.as_array()
-
-    bloch = np.repeat(cfg.initial.as_array()[None, :], blk, axis=0)
-    field = mean + stationary_sigma * normals[:, 0]
-    bloch = _run_segment(bloch, field, normals, axis_term, mean, decay, step_sigma,
-                         cfg.dt, states[:, 1:n + 1])
-    if round_trip:
-        normals = np.stack([gen.standard_normal((n + 1, 3)) for gen in gens])
-        field = mean + stationary_sigma * normals[:, 0]
-        _run_segment(bloch, field, normals, -axis_term, mean, decay, step_sigma,
-                     cfg.dt, states[:, n + 1:])
-    return states
-
-
-def _block_moments(states: np.ndarray):
-    """Running mean and squared deviations over axis 0 (Welford).
-
-    Computed in trajectory order; an ensemble of identical trajectories
-    yields squared deviations of exactly zero, with no cancellation.
+    States are component-major, shape (3, width): column p holds
+    trajectory indices[p].  After each chunk, consume(row, states)
+    receives the recorded states of rows row, row + 1, ... as a
+    (rows, 3, width) view that the next chunk overwrites; the first call
+    starts with row 0, the initial state.  Every operation is the
+    elementwise one of the Rodrigues step, in a fixed order, so the bits
+    do not depend on the width, the column order or the chunk.
     """
-    mean = states[0].copy()
-    m2 = np.zeros_like(mean)
-    for k in range(1, states.shape[0]):
-        delta = states[k] - mean
-        mean += delta / (k + 1)
-        m2 += delta * (states[k] - mean)
-    return states.shape[0], mean, m2
+    width = len(indices)
+    n = cfg.n_steps
+    chunk = min(_CHUNK, n)
+    g, lam, mean = (np.array(x)[:, None] for x in (spec.g, spec.lam, spec.mean))
+    decay, step_sigma = _ou_coefficients(g, lam, cfg.dt)
+    stationary_sigma = np.sqrt(g)
+    axis_term = 0.5 * fp.omega0 * np.array(fp.n)[:, None]
+    # per-component constants at full width: same values, faster ufunc loops
+    mean, decay = (np.repeat(x, width, axis=1) for x in (mean, decay))
+    two_dt = 2.0 * cfg.dt
+    gens = [_traj_rng(cfg.seed, j) for j in indices]
+
+    draws = np.empty((width, chunk, 3))
+    kicks = np.empty((chunk, 3, width))
+    # rec[0] carries the state entering the chunk, rec[i + 1] the state after step i
+    rec = np.empty((chunk + 1, 3, width))
+    rec[0] = cfg.initial.as_array()[:, None]
+    field, v, unit, cross, tmp = np.empty((5, 3, width))
+    vnorm, cos_t, sin_t, w = np.empty((4, width))
+    (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = unit, cross, tmp
+
+    done = 0
+    for sign in (1.0, -1.0) if round_trip else (1.0,):
+        axis = np.repeat(sign * axis_term, width, axis=1)
+        # draw row 0 initializes F from its stationary law N(mean, G)
+        for gen, row in zip(gens, draws[:, 0]):
+            gen.standard_normal(out=row)
+        np.multiply(draws[:, 0].T, stationary_sigma, out=field)
+        field += mean
+        for k0 in range(0, n, chunk):
+            c = min(chunk, n - k0)
+            for gen, rows in zip(gens, draws[:, :c]):
+                gen.standard_normal(out=rows)
+            np.multiply(draws[:, :c].transpose(1, 2, 0), step_sigma, out=kicks[:c])
+            for i in range(c):
+                bloch = rec[i]
+                b0, b1, b2 = bloch
+                np.add(field, axis, out=v)
+                np.multiply(v, v, out=tmp)
+                np.add(t0, t1, out=vnorm)
+                vnorm += t2
+                np.sqrt(vnorm, out=vnorm)
+                np.multiply(vnorm, two_dt, out=w)
+                np.cos(w, out=cos_t)
+                np.sin(w, out=sin_t)
+                np.maximum(vnorm, 1e-300, out=w)
+                np.divide(v, w, out=unit)
+                # along = unit . bloch
+                np.multiply(unit, bloch, out=tmp)
+                np.add(t0, t1, out=vnorm)
+                vnorm += t2
+                # cross = unit x bloch
+                np.multiply(u1, b2, out=c0)
+                np.multiply(u2, b1, out=w)
+                c0 -= w
+                np.multiply(u2, b0, out=c1)
+                np.multiply(u0, b2, out=w)
+                c1 -= w
+                np.multiply(u0, b1, out=c2)
+                np.multiply(u1, b0, out=w)
+                c2 -= w
+                # cos bloch + (1 - cos) along unit + sin cross
+                out = rec[i + 1]
+                np.multiply(bloch, cos_t, out=out)
+                np.subtract(1.0, cos_t, out=w)
+                w *= vnorm
+                np.multiply(unit, w, out=tmp)
+                out += tmp
+                np.multiply(cross, sin_t, out=tmp)
+                out += tmp
+                # exact OU relaxation of F to the next step
+                field -= mean
+                field *= decay
+                field += mean
+                field += kicks[i]
+            first = 0 if done == 0 else 1
+            consume(done, rec[first:c + 1])
+            done += c + 1 - first
+            rec[0] = rec[c]
+
+
+def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
+                   j0: int, j1: int, round_trip: bool):
+    """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
+
+    Each block accumulates its running mean and squared deviations in
+    trajectory order, vectorised across the group's blocks and across
+    the rows of each chunk; an ensemble of identical trajectories yields
+    squared deviations of exactly zero, with no cancellation.
+    """
+    full, tail = divmod(j1 - j0, _BLOCK)
+    nb = full + (tail > 0)
+    # columns run trajectory-major: trajectory k of every block still
+    # filling, then trajectory k + 1; only the last block can be short
+    order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
+             if b * _BLOCK + k < j1 - j0]
+    rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
+    # block index last, so every update below is one contiguous sweep
+    mean = np.empty((rows, 3, nb))
+    m2 = np.empty_like(mean)
+    span = min(_CHUNK, cfg.n_steps) + 1
+    # by_traj[k, ..., b] is trajectory k of block b
+    by_traj = np.empty((_BLOCK, span, 3, nb))
+    delta, tmp = np.empty((2, span, 3, nb))
+
+    def consume(row, states):
+        c = states.shape[0]
+        x = by_traj[:, :c]
+        split = tail * nb
+        x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
+        x[tail:, ..., :full] = (
+            states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
+        )
+        m = mean[row:row + c]
+        s = m2[row:row + c]
+        m[...] = x[0]
+        s[...] = 0.0
+        d, t = delta[:c], tmp[:c]
+        for k in range(1, _BLOCK):
+            if k == tail:
+                # the short block is complete: carry on with the full ones
+                if not full:
+                    break
+                x, m, s, d, t = (a[..., :full] for a in (x, m, s, d, t))
+            xk = x[k]
+            np.subtract(xk, m, out=d)
+            np.divide(d, k + 1, out=t)
+            m += t
+            np.subtract(xk, m, out=t)
+            t *= d
+            s += t
+
+    _propagate(spec, fp, cfg, order, round_trip, consume)
+    sizes = [_BLOCK] * full + ([tail] if tail else [])
+    return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
 
 
 def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajectory:
     cfg.check_resolution(spec, fp)
     if n_workers < 1:
         raise InvalidInputError("n_workers must be at least 1")
-    edges = list(range(0, cfg.n_traj, _BLOCK)) + [cfg.n_traj]
+    width = _GROUP_BLOCKS * _BLOCK
+    edges = list(range(0, cfg.n_traj, width)) + [cfg.n_traj]
 
-    def partials(b):
-        states = _block_states(spec, fp, cfg, edges[b], edges[b + 1], round_trip)
-        return _block_moments(states)
+    def partials(i):
+        return _group_moments(spec, fp, cfg, edges[i], edges[i + 1], round_trip)
 
     if n_workers == 1:
-        parts = [partials(b) for b in range(len(edges) - 1)]
+        groups = [partials(i) for i in range(len(edges) - 1)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(partials, range(len(edges) - 1)))
+            groups = list(pool.map(partials, range(len(edges) - 1)))
+    parts = [part for group in groups for part in group]
 
     # merge block moments in block order: results do not depend on the
     # worker count, and identical blocks merge with delta exactly zero
@@ -275,7 +382,13 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
     if not 0 <= traj_index < cfg.n_traj:
         raise InvalidInputError("traj_index must lie in [0, n_traj)")
     cfg.check_resolution(spec, fp)
-    return _block_states(spec, fp, cfg, traj_index, traj_index + 1, round_trip=False)[0]
+    states = np.empty((cfg.n_steps + 1, 3))
+
+    def consume(row, chunk):
+        states[row:row + chunk.shape[0]] = chunk[:, :, 0]
+
+    _propagate(spec, fp, cfg, [traj_index], False, consume)
+    return states
 
 
 def ensemble_average(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
@@ -295,15 +408,7 @@ def mc_double_pass(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     index n_steps is the state at the mirror, so a single run also
     contains the one-way ensemble.
     """
-    n = fp.n
-    if abs(n[0]) > 1e-12 or abs(n[1]) > 1e-12 or abs(n[2] - 1.0) > 1e-12:
-        raise UnsupportedConfigurationError(
-            f"round trips assume precession about the circular axis n = (0, 0, 1); got n = {n}"
-        )
-    if any(abs(m) > 1e-12 for m in spec.mean):
-        raise UnsupportedConfigurationError(
-            f"round trips assume zero-mean noise; got mean = {spec.mean}"
-        )
+    _require_axis3_zero_mean(spec, fp, "a round trip")
     return _ensemble(spec, fp, cfg, round_trip=True, n_workers=n_workers)
 
 

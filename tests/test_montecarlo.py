@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fiberpol import montecarlo
 from fiberpol import (
     FreePrecession,
     InvalidInputError,
@@ -345,3 +348,50 @@ def test_golden_trajectory_bits():
                            initial=StokesVector(0.3, -0.5, 0.6))
     expected = "bbed23774055e518fc0175d5c1f34b49b63f68fa82dcadeabf084b879305df5a"
     assert _digest(evolve_trajectory(spec, fp, cfg, 257)) == expected
+
+
+SPLIT_CASES = {
+    "axis3": (NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0)), FreePrecession(omega0=1.0)),
+    "off-axis-biased": (
+        NoiseSpec(g=(0.04, 0.03, 0.02), lam=(1.5, 2.0, 2.5), mean=(0.3, -0.2, 0.1)),
+        FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8)),
+    ),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_traj=st.integers(100, 700),
+    n_steps=st.integers(1, 70),
+    n_workers=st.integers(1, 3),
+    group_blocks=st.integers(1, 3),
+    chunk=st.integers(1, 9),
+    case=st.sampled_from(sorted(SPLIT_CASES)),
+    round_trip=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_moments_do_not_depend_on_split(n_traj, n_steps, n_workers, group_blocks, chunk,
+                                        case, round_trip, seed):
+    spec, fp = SPLIT_CASES[case]
+    round_trip = round_trip and case == "axis3"
+    runner = mc_double_pass if round_trip else ensemble_average
+    cfg = TrajectoryConfig(dt=0.01, n_steps=n_steps, n_traj=n_traj, seed=seed,
+                           initial=StokesVector(0.3, -0.5, 0.6))
+    reference = runner(spec, fp, cfg)
+    edge_rows = [evolve_trajectory(spec, fp, cfg, j) for j in (0, n_traj - 1)]
+
+    # narrow groups and short draw chunks split the same trajectories differently
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_GROUP_BLOCKS", group_blocks)
+        mp.setattr(montecarlo, "_CHUNK", chunk)
+        split = runner(spec, fp, cfg, n_workers=n_workers)
+        stack = np.stack([evolve_trajectory(spec, fp, cfg, j) for j in range(n_traj)])
+
+    assert np.array_equal(split.mean_stokes, reference.mean_stokes)
+    assert np.array_equal(split.stderr, reference.stderr)
+    assert np.array_equal(stack[0], edge_rows[0])
+    assert np.array_equal(stack[-1], edge_rows[1])
+    norms = np.linalg.norm(stack, axis=2)
+    assert np.max(np.abs(norms - np.linalg.norm([0.3, -0.5, 0.6]))) < 1e-12
+    if not round_trip:
+        assert np.allclose(stack.mean(axis=0), reference.mean_stokes, atol=1e-14, rtol=0.0)
