@@ -216,7 +216,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     rec = np.empty((chunk + 1, 3, width))
     rec[0] = cfg.initial.as_array()[:, None]
     field, v, unit, cross, tmp = np.empty((5, 3, width))
-    vnorm, cos_t, sin_t, w = np.empty((4, width))
+    vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
     (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = unit, cross, tmp
 
     done = 0
@@ -240,15 +240,15 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 np.add(t0, t1, out=vnorm)
                 vnorm += t2
                 np.sqrt(vnorm, out=vnorm)
-                np.multiply(vnorm, two_dt, out=w)
-                np.cos(w, out=cos_t)
-                np.sin(w, out=sin_t)
+                np.multiply(vnorm, two_dt, out=theta)
+                np.cos(theta, out=cos_t)
+                np.sin(theta, out=sin_t)
                 np.maximum(vnorm, 1e-300, out=w)
                 np.divide(v, w, out=unit)
                 # along = unit . bloch
                 np.multiply(unit, bloch, out=tmp)
-                np.add(t0, t1, out=vnorm)
-                vnorm += t2
+                np.add(t0, t1, out=along)
+                along += t2
                 # cross = unit x bloch
                 np.multiply(u1, b2, out=c0)
                 np.multiply(u2, b1, out=w)
@@ -263,7 +263,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 out = rec[i + 1]
                 np.multiply(bloch, cos_t, out=out)
                 np.subtract(1.0, cos_t, out=w)
-                w *= vnorm
+                w *= along
                 np.multiply(unit, w, out=tmp)
                 out += tmp
                 np.multiply(cross, sin_t, out=tmp)
