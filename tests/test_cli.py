@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
 import math
 
@@ -439,3 +440,87 @@ def test_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["--config", str(tmp_path / "absent.json")])
     assert code == 2
     assert "cannot read config" in diagnostics(err)[0]["message"]
+
+
+# One small config per mode.  Each is run in CSV and, through --format, in
+# JSON, plus a --seed and a --mode override; stdout is pinned by SHA-256,
+# the config digest in the metadata included.
+GOLDEN_CONFIGS = {
+    "evolve": {
+        "mode": "evolve",
+        "params": dict(PARAMS_BLOCK, omega=[0.3, -0.1, 1.2]),
+        "times": [0.0, 0.25, 1.3],
+        "initial": [0.4, -0.2, 0.5],
+    },
+    "mueller": {
+        "mode": "mueller",
+        "noise": {"g": [0.04, 0.03, 0.02], "lam": [1.5, 2.0, 2.5], "mean": [0.3, -0.2, 0.1]},
+        "precession": {"omega0": 1.7, "n": [0.6, 0.0, 0.8]},
+        "times": {"start": 0.0, "stop": 2.0, "count": 5},
+    },
+    "cp-check": {
+        "mode": "cp-check",
+        "noise": {"g": [0.5, 0.5, 0.2], "lam": [1, 2, 3]},
+        "precession": {"omega0": 1.0},
+        "times": [0.5],
+    },
+    "experiment": {
+        "mode": "experiment",
+        "params": {"a": 1.0, "b": 0.1, "c": 0.0, "alpha": 1.0, "beta": 0.0, "gamma": 3.0,
+                   "omega": 5},
+        "times": {"start": 0.1, "stop": 0.9, "count": 7},
+    },
+    "montecarlo": {
+        "mode": "montecarlo",
+        "noise": {"g": [0.01, 0.02, 0.03], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0},
+        "initial": [0.0, 1.0, 0.0],
+        "trajectory": {"dt": 0.01, "n_steps": 20, "n_traj": 120, "seed": 2**63 + 5,
+                       "double_pass": True},
+    },
+    "compare": {
+        "mode": "compare",
+        "noise": {"g": [0.001, 0.002, 0.001], "lam": [2, 2, 2], "mean": [0.1, 0.0, 0.0]},
+        "precession": {"omega0": 1.0, "n": [0.6, 0.0, 0.8]},
+        "trajectory": {"dt": 0.01, "n_steps": 30, "n_traj": 300, "seed": 8},
+    },
+}
+
+GOLDEN_RUNS = {
+    "evolve-csv": ("evolve", [],
+        "f5163315ff978d996e1a5dd5bcc85406116fb16f36f89ed27a3cbe27b0cc14b1"),
+    "evolve-json": ("evolve", ["--format", "json"],
+        "56ded747e34f30087032da0a7551380241d65b8085851e6ae4200cffe1e9a34e"),
+    "mueller-csv": ("mueller", [],
+        "bbd7e6815c6ebcf65327302d6decc34f93f76007b4b936395fb8b43883d37422"),
+    "mueller-json": ("mueller", ["--format", "json"],
+        "36c72b5a1d3dc765a4069950b9894f762035e77ece3f35c765d10641a0c14608"),
+    "cp-check-csv": ("cp-check", [],
+        "79e59627f2e125d3d533b105f7385000a7e7913ba5a3d7f590f635156006da88"),
+    "cp-check-json": ("cp-check", ["--format", "json"],
+        "dbe9832325276560683cc656ec232fce71742664b4c2072f22ec6bea98d936be"),
+    "experiment-csv": ("experiment", [],
+        "ee115c7bdc238e53e01c480db5a0d3d1ee83d7e0618f74e061f55a5084046d77"),
+    "experiment-json": ("experiment", ["--format", "json"],
+        "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
+    "montecarlo-csv": ("montecarlo", [],
+        "8dbe14ac4bd89521f9b96b8b762733319198f03b69fe524fee40884c342c8e10"),
+    "montecarlo-json": ("montecarlo", ["--format", "json"],
+        "844f0c30b6bf13da9f01b01e729a4abee18db460fa0707c3995efb30cacd1788"),
+    "compare-csv": ("compare", [],
+        "ea39e2a435fbff16da4fa596b2ca4f9b6217ea9896afb68925a4f21b32f9d72b"),
+    "compare-json": ("compare", ["--format", "json"],
+        "64e52de45c5acabbe18db0ea359625bd0cecedfcac0b280a5a083147b3bc0c33"),
+    "seed-override": ("montecarlo", ["--seed", "99"],
+        "bbeb98f0981545050b3667d438c79d62698b244904e156e8be3eaa9e44964122"),
+    "mode-override": ("mueller", ["--mode", "evolve"],
+        "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_golden_cli_bytes(tmp_path, capsys, case):
+    name, flags, expected = GOLDEN_RUNS[case]
+    code, out, _ = run_cli(capsys, ["--config", write_config(tmp_path, GOLDEN_CONFIGS[name])] + flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
