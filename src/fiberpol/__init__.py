@@ -34,7 +34,6 @@ from .experiment import (
     ExperimentResult,
     RelaxationTimes,
     RScanResult,
-    cp_test,
     r_observable,
     r_scan,
     relaxation_times,
@@ -146,7 +145,6 @@ __all__ = [
     "RelaxationTimes",
     "RScanResult",
     "r_observable",
-    "cp_test",
     "relaxation_times",
     "r_scan",
     # montecarlo

@@ -5,28 +5,30 @@ Usage::
     fiberpol --config run.json [--mode MODE] [--seed N] [--out PATH]
              [--format csv|json]
 
-Config schema (JSON object; unknown keys are rejected)::
+Config schema (JSON object; unknown keys are rejected; every number must
+be finite)::
 
     {
       "mode": "evolve" | "mueller" | "cp-check" | "experiment"
               | "montecarlo" | "compare",
       "noise":      {"g": [g1,g2,g3], "lam": [l1,l2,l3],
-                     "mean": [m1,m2,m3]},            # mean optional
+                     "mean": [m1,m2,m3]},            # mean optional, default 0
       "precession": {"omega0": w0, "n": [n1,n2,n3]}, # n optional, default axis 3
       "params":     {"a":..,"b":..,"c":..,"alpha":..,"beta":..,"gamma":..,
                      "omega": w or [w1,w2,w3]},      # explicit-generator route
       "times":      [t1, t2, ...] | {"start": s, "stop": e, "count": n},
       "initial":    [s1, s2, s3],                    # default [1, 0, 0]
       "trajectory": {"dt":.., "n_steps":.., "n_traj":.., "seed":..,
-                     "double_pass": false},
-      "output":     {"path": "out.csv", "format": "csv" | "json"}
+                     "double_pass": false},          # double_pass optional
+      "output":     {"path": "out.csv", "format": "csv" | "json"}  # both optional
     }
 
-Modes that need a generator (evolve, mueller, cp-check, experiment)
-take exactly one of "noise"+"precession" or "params"; the stochastic
-modes (montecarlo, compare) take "noise"+"precession"+"trajectory" and
-no explicit params.  Command-line flags override the corresponding
-config fields.
+The fields of each block are declared once, in ``_SCHEMA``.  Modes that
+need a generator (evolve, mueller, cp-check, experiment) take exactly
+one of "noise"+"precession" or "params"; the stochastic modes
+(montecarlo, compare) take "noise"+"precession"+"trajectory" and no
+explicit params.  Command-line flags override the corresponding config
+fields before the config is validated.
 
 Output contract: the first CSV line is a "# metadata: {...}" record
 (config digest, package version, seed), then a header row, then data
@@ -42,7 +44,6 @@ Diagnostics go to stderr as one JSON record per line.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -87,6 +88,8 @@ MODES = ("evolve", "mueller", "cp-check", "experiment", "montecarlo", "compare")
 _GENERATOR_MODES = ("evolve", "mueller", "cp-check", "experiment")
 _STOCHASTIC_MODES = ("montecarlo", "compare")
 _TIMED_MODES = ("evolve", "mueller", "experiment")
+#: a {start, stop, count} grid is expanded in memory before anything runs
+_MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -104,204 +107,197 @@ class RunConfig:
     round_trip: bool
     output_path: str | None
     output_format: str
+    config_digest: str
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
+# ---------------------------------------------------------------------------
+# config schema
 
 
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{path} must be a number")
-    return float(value)
+def _number(value, path: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{path} must be a finite number")
 
 
-def _require_int(value, path: str) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{path} must be an integer")
+        raise ConfigError(f"{path} must be an integer")
     return value
 
 
-def _require_vec3(value, path: str) -> tuple[float, float, float]:
+def _vec3(value, path: str) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
-        raise _fail(f"{path} must be a list of 3 numbers")
-    return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+        raise ConfigError(f"{path} must be a list of 3 numbers")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str):
-    for key in obj:
-        if key not in allowed:
-            raise _fail(f"unknown field {path}{key!r}")
+def _omega(value, path: str) -> tuple[float, float, float]:
+    """A precession 3-vector, or a number: the rate about axis 3."""
+    return _vec3(value, path) if isinstance(value, list) else (0.0, 0.0, _number(value, path))
 
 
-def _parse_times(value) -> tuple[float, ...]:
-    if isinstance(value, list):
-        if not value:
-            raise _fail("times must not be empty")
-        times = [_require_number(v, f"times[{i}]") for i, v in enumerate(value)]
-    elif isinstance(value, dict):
-        _check_keys(value, ("start", "stop", "count"), "times.")
-        for key in ("start", "stop", "count"):
-            if key not in value:
-                raise _fail(f"times.{key} is required for a time grid")
-        start = _require_number(value["start"], "times.start")
-        stop = _require_number(value["stop"], "times.stop")
-        count = _require_int(value["count"], "times.count")
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be a boolean")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string")
+    return value
+
+
+def _format(value, path: str) -> str:
+    if value not in ("csv", "json"):
+        raise ConfigError(f"{path} must be 'csv' or 'json'")
+    return value
+
+
+_REQUIRED = object()
+
+#: block -> field -> (parser, default or _REQUIRED); "times" is the grid form
+_SCHEMA = {
+    "noise": {"g": (_vec3, _REQUIRED), "lam": (_vec3, _REQUIRED), "mean": (_vec3, (0.0, 0.0, 0.0))},
+    "precession": {"omega0": (_number, _REQUIRED), "n": (_vec3, (0.0, 0.0, 1.0))},
+    "params": {
+        **{name: (_number, _REQUIRED) for name in ("a", "b", "c", "alpha", "beta", "gamma")},
+        "omega": (_omega, _REQUIRED),
+    },
+    "times": {"start": (_number, _REQUIRED), "stop": (_number, _REQUIRED),
+              "count": (_integer, _REQUIRED)},
+    "trajectory": {
+        "dt": (_number, _REQUIRED),
+        "n_steps": (_integer, _REQUIRED),
+        "n_traj": (_integer, _REQUIRED),
+        "seed": (_integer, _REQUIRED),
+        "double_pass": (_boolean, False),
+    },
+    "output": {"path": (_string, None), "format": (_format, "csv")},
+}
+
+
+def _fields(block, fields: dict, name: str) -> dict:
+    """Every field of a block, parsed, with defaults filled in."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object")
+    for key in block:
+        if key not in fields:
+            raise ConfigError(f"unknown field {name}.{key!r}")
+    parsed = {}
+    for key, (parse, default) in fields.items():
+        if key in block:
+            parsed[key] = parse(block[key], f"{name}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name}.{key} is required")
+        else:
+            parsed[key] = default
+    return parsed
+
+
+def _times(value) -> tuple[float, ...]:
+    if isinstance(value, dict):
+        grid = _fields(value, _SCHEMA["times"], "times")
+        start, stop, count = grid["start"], grid["stop"], grid["count"]
         if count < 2:
-            raise _fail("times.count must be at least 2")
+            raise ConfigError("times.count must be at least 2")
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"times.count must be at most {_MAX_GRID_POINTS}")
         if not stop > start:
-            raise _fail("times.stop must exceed times.start")
-        times = list(np.linspace(start, stop, count))
+            raise ConfigError("times.stop must exceed times.start")
+        # refused before expanding: with start >= 0, stop - start cannot overflow
+        if start < 0.0:
+            raise ConfigError("times must be non-negative")
+        times = np.linspace(start, stop, count).tolist()
+    elif isinstance(value, list):
+        if not value:
+            raise ConfigError("times must not be empty")
+        times = [_number(v, f"times[{i}]") for i, v in enumerate(value)]
+        if times[0] < 0.0:
+            raise ConfigError("times must be non-negative")
     else:
-        raise _fail("times must be a list of numbers or {start, stop, count}")
-    if times[0] < 0.0:
-        raise _fail("times must be non-negative")
+        raise ConfigError("times must be a list of numbers or {start, stop, count}")
     for earlier, later in zip(times, times[1:]):
         if not later > earlier:
-            raise _fail("times must be strictly increasing")
+            raise ConfigError("times must be strictly increasing")
     return tuple(times)
+
+
+def _load(text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    return obj
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(
-            f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(obj, dict):
-        raise _fail("config must be a JSON object")
-    _check_keys(
-        obj,
-        ("mode", "noise", "precession", "params", "times", "initial", "trajectory", "output"),
-        "",
-    )
-
+    obj = _load(text)
+    for key in obj:
+        if key not in ("mode", "initial", *_SCHEMA):
+            raise ConfigError(f"unknown field {key!r}")
     mode = obj.get("mode")
     if mode not in MODES:
-        raise _fail(f"mode must be one of {', '.join(MODES)}")
+        raise ConfigError(f"mode must be one of {', '.join(MODES)}")
 
-    noise = precession = None
-    if "noise" in obj:
-        block = obj["noise"]
-        if not isinstance(block, dict):
-            raise _fail("noise must be an object")
-        _check_keys(block, ("g", "lam", "mean"), "noise.")
-        for key in ("g", "lam"):
-            if key not in block:
-                raise _fail(f"noise.{key} is required")
-        try:
-            noise = NoiseSpec(
-                g=_require_vec3(block["g"], "g"),
-                lam=_require_vec3(block["lam"], "lam"),
-                mean=_require_vec3(block["mean"], "mean") if "mean" in block else (0.0, 0.0, 0.0),
-            )
-        except InvalidInputError as exc:
-            raise _fail(str(exc)) from exc
-        if "precession" not in obj:
-            raise _fail("precession is required alongside noise")
-        pblock = obj["precession"]
-        if not isinstance(pblock, dict):
-            raise _fail("precession must be an object")
-        _check_keys(pblock, ("omega0", "n"), "precession.")
-        if "omega0" not in pblock:
-            raise _fail("precession.omega0 is required")
-        try:
-            precession = FreePrecession(
-                omega0=_require_number(pblock["omega0"], "precession.omega0"),
-                n=_require_vec3(pblock["n"], "precession.n") if "n" in pblock else (0.0, 0.0, 1.0),
-            )
-        except InvalidInputError as exc:
-            raise _fail(str(exc)) from exc
-    elif "precession" in obj:
-        raise _fail("precession is only meaningful together with noise")
+    # the parsed, defaults-filled config, which the digest covers
+    blocks = {name: _fields(obj[name], _SCHEMA[name], name)
+              for name in ("noise", "precession", "params", "trajectory") if name in obj}
+    if "times" in obj:
+        blocks["times"] = _times(obj["times"])
+    blocks["initial"] = _vec3(obj["initial"], "initial") if "initial" in obj else (1.0, 0.0, 0.0)
+    output = _fields(obj.get("output", {}), _SCHEMA["output"], "output")
 
-    params = params_omega = None
-    if "params" in obj:
-        block = obj["params"]
-        if not isinstance(block, dict):
-            raise _fail("params must be an object")
-        _check_keys(block, ("a", "b", "c", "alpha", "beta", "gamma", "omega"), "params.")
-        for key in ("a", "b", "c", "alpha", "beta", "gamma", "omega"):
-            if key not in block:
-                raise _fail(f"params.{key} is required")
-        params = DissipativeParams(
-            a=_require_number(block["a"], "params.a"),
-            b=_require_number(block["b"], "params.b"),
-            c=_require_number(block["c"], "params.c"),
-            alpha=_require_number(block["alpha"], "params.alpha"),
-            beta=_require_number(block["beta"], "params.beta"),
-            gamma=_require_number(block["gamma"], "params.gamma"),
-        )
-        w = block["omega"]
-        if isinstance(w, list):
-            params_omega = _require_vec3(w, "params.omega")
-        else:
-            params_omega = (0.0, 0.0, _require_number(w, "params.omega"))
+    noise = precession = params = params_omega = trajectory = None
+    if "noise" in blocks:
+        if "precession" not in blocks:
+            raise ConfigError("precession is required alongside noise")
+        noise = NoiseSpec(**blocks["noise"])
+        precession = FreePrecession(**blocks["precession"])
+    elif "precession" in blocks:
+        raise ConfigError("precession is only meaningful together with noise")
+    if "params" in blocks:
+        coefficients = dict(blocks["params"])
+        params_omega = coefficients.pop("omega")
+        params = DissipativeParams(**coefficients)
 
     if mode in _GENERATOR_MODES:
         if (noise is None) == (params is None):
-            raise _fail(f"mode {mode!r} needs exactly one of noise or params")
+            raise ConfigError(f"mode {mode!r} needs exactly one of noise or params")
     else:
         if noise is None:
-            raise _fail(f"mode {mode!r} needs noise and precession")
+            raise ConfigError(f"mode {mode!r} needs noise and precession")
         if params is not None:
-            raise _fail(f"mode {mode!r} derives its dynamics from noise; params is not allowed")
-
-    times = _parse_times(obj["times"]) if "times" in obj else None
-    if mode in _TIMED_MODES and times is None:
-        raise _fail(f"mode {mode!r} requires times")
-
-    initial = StokesVector(1.0, 0.0, 0.0)
-    if "initial" in obj:
-        vec = _require_vec3(obj["initial"], "initial")
-        initial = StokesVector(*vec)
-        if not initial.is_physical():
-            raise _fail("initial must lie in the unit ball (within 1e-12)")
-
-    trajectory = None
-    round_trip = False
-    if "trajectory" in obj:
-        block = obj["trajectory"]
-        if not isinstance(block, dict):
-            raise _fail("trajectory must be an object")
-        _check_keys(block, ("dt", "n_steps", "n_traj", "seed", "double_pass"), "trajectory.")
-        for key in ("dt", "n_steps", "n_traj", "seed"):
-            if key not in block:
-                raise _fail(f"trajectory.{key} is required")
-        if "double_pass" in block:
-            if not isinstance(block["double_pass"], bool):
-                raise _fail("trajectory.double_pass must be a boolean")
-            round_trip = block["double_pass"]
-        try:
-            trajectory = TrajectoryConfig(
-                dt=_require_number(block["dt"], "trajectory.dt"),
-                n_steps=_require_int(block["n_steps"], "trajectory.n_steps"),
-                n_traj=_require_int(block["n_traj"], "trajectory.n_traj"),
-                seed=_require_int(block["seed"], "trajectory.seed"),
-                initial=initial,
+            raise ConfigError(
+                f"mode {mode!r} derives its dynamics from noise; params is not allowed"
             )
-        except InvalidInputError as exc:
-            raise _fail(f"trajectory: {exc}") from exc
-    if mode in _STOCHASTIC_MODES and trajectory is None:
-        raise _fail(f"mode {mode!r} requires a trajectory block")
+    if mode in _TIMED_MODES and "times" not in blocks:
+        raise ConfigError(f"mode {mode!r} requires times")
 
-    output_path = None
-    output_format = "csv"
-    if "output" in obj:
-        block = obj["output"]
-        if not isinstance(block, dict):
-            raise _fail("output must be an object")
-        _check_keys(block, ("path", "format"), "output.")
-        if "path" in block:
-            if not isinstance(block["path"], str):
-                raise _fail("output.path must be a string")
-            output_path = block["path"]
-        if "format" in block:
-            if block["format"] not in ("csv", "json"):
-                raise _fail("output.format must be 'csv' or 'json'")
-            output_format = block["format"]
+    initial = StokesVector(*blocks["initial"])
+    if not initial.is_physical():
+        raise ConfigError("initial must lie in the unit ball (within 1e-12)")
+    round_trip = False
+    if "trajectory" in blocks:
+        steps = dict(blocks["trajectory"])
+        round_trip = steps.pop("double_pass")
+        try:
+            trajectory = TrajectoryConfig(**steps, initial=initial)
+        except InvalidInputError as exc:
+            raise ConfigError(f"trajectory: {exc}") from exc
+    if mode in _STOCHASTIC_MODES and trajectory is None:
+        raise ConfigError(f"mode {mode!r} requires a trajectory block")
 
     return RunConfig(
         mode=mode,
@@ -309,12 +305,13 @@ def parse_config(text: str) -> RunConfig:
         precession=precession,
         params=params,
         params_omega=params_omega,
-        times=times,
+        times=blocks.get("times"),
         initial=initial,
         trajectory=trajectory,
         round_trip=round_trip,
-        output_path=output_path,
-        output_format=output_format,
+        output_path=output["path"],
+        output_format=output["format"],
+        config_digest=hashlib.sha256(_canonical({"mode": mode, **blocks}).encode()).hexdigest(),
     )
 
 
@@ -374,55 +371,20 @@ def _canonical(value) -> str:
     return _json_value(value)
 
 
-def _effective_config(cfg: RunConfig) -> dict:
-    out: dict = {"mode": cfg.mode, "initial": list(cfg.initial.as_array())}
-    if cfg.noise is not None:
-        out["noise"] = {"g": list(cfg.noise.g), "lam": list(cfg.noise.lam), "mean": list(cfg.noise.mean)}
-        out["precession"] = {"omega0": cfg.precession.omega0, "n": list(cfg.precession.n)}
-    if cfg.params is not None:
-        p = cfg.params
-        out["params"] = {
-            "a": p.a, "b": p.b, "c": p.c,
-            "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-            "omega": list(cfg.params_omega),
-        }
-    if cfg.times is not None:
-        out["times"] = list(cfg.times)
-    if cfg.trajectory is not None:
-        t = cfg.trajectory
-        out["trajectory"] = {
-            "dt": t.dt, "n_steps": t.n_steps, "n_traj": t.n_traj,
-            "seed": t.seed, "double_pass": cfg.round_trip,
-        }
-    return out
-
-
-def _metadata(cfg: RunConfig) -> dict:
-    digest = hashlib.sha256(_canonical(_effective_config(cfg)).encode()).hexdigest()
-    return {
-        "mode": cfg.mode,
-        "version": __version__,
-        "config_digest": digest,
-        "seed": cfg.trajectory.seed if cfg.trajectory is not None else None,
-    }
-
-
-def _render_csv(metadata: dict, columns: list[str], rows: list[dict]) -> str:
-    lines = ["# metadata: " + _json_value(metadata)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
+def _render_csv(metadata: dict, columns: list[str], rows: list[list]) -> str:
+    lines = ["# metadata: " + _json_value(metadata), ",".join(columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _render_json(metadata: dict, columns: list[str], rows: list[dict]) -> str:
+def _render_json(metadata: dict, columns: list[str], rows: list[list]) -> str:
+    keys = [json.dumps(c) + ": " for c in columns]
     parts = [
         '"metadata": ' + _json_value(metadata),
         '"columns": ' + _json_value(columns),
         '"records": ['
         + ", ".join(
-            "{" + ", ".join(f"{json.dumps(c)}: {_json_value(r[c])}" for c in columns) + "}"
-            for r in rows
+            "{" + ", ".join(k + _json_value(v) for k, v in zip(keys, row)) + "}" for row in rows
         )
         + "]",
     ]
@@ -446,30 +408,22 @@ def _generator_pieces(cfg: RunConfig):
     return params, effective_hamiltonian(cfg.noise, cfg.precession)
 
 
+def _table(times, **stems):
+    """Columns t, <stem>1, <stem>2, <stem>3 per stem; each stem is a (len(times), 3) array."""
+    columns = ["t"] + [f"{stem}{i}" for stem in stems for i in (1, 2, 3)]
+    return columns, np.column_stack([times, *stems.values()]).tolist(), {}
+
+
 def _mode_evolve(cfg: RunConfig):
-    params, omega = _generator_pieces(cfg)
-    gen = build_generator(params, omega)
+    gen = build_generator(*_generator_pieces(cfg))
     s0 = cfg.initial.as_array()
-    rows = []
-    for t in cfg.times:
-        s = mueller_exact(gen, t).matrix @ s0
-        rows.append({"t": t, "rho1": s[0], "rho2": s[1], "rho3": s[2]})
-    return ["t", "rho1", "rho2", "rho3"], rows, {}
+    return _table(cfg.times, rho=[mueller_exact(gen, t).matrix @ s0 for t in cfg.times])
 
 
 def _mode_mueller(cfg: RunConfig):
-    params, omega = _generator_pieces(cfg)
-    gen = build_generator(params, omega)
-    columns = ["t"] + [f"m{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    rows = []
-    for t in cfg.times:
-        m = mueller_exact(gen, t).matrix
-        row = {"t": t}
-        for i in range(3):
-            for j in range(3):
-                row[f"m{i + 1}{j + 1}"] = m[i, j]
-        rows.append(row)
-    return columns, rows, {}
+    gen = build_generator(*_generator_pieces(cfg))
+    m = np.array([mueller_exact(gen, t).matrix for t in cfg.times])
+    return _table(cfg.times, m1=m[:, 0], m2=m[:, 1], m3=m[:, 2])
 
 
 def _mode_cp_check(cfg: RunConfig):
@@ -494,7 +448,7 @@ def _mode_cp_check(cfg: RunConfig):
         "completely_positive": is_completely_positive(params),
         "noise_residual": noise_residual,
     }
-    return list(row.keys()), [row], {}
+    return list(row), [list(row.values())], {}
 
 
 def _mode_experiment(cfg: RunConfig):
@@ -508,56 +462,21 @@ def _mode_experiment(cfg: RunConfig):
             "singular-time",
             f"R(t) denominator vanishes at t = {_fmt_float(t)}; point skipped",
         )
-    rows = [
-        {"t": r.t, "r_value": r.r_value, "r_closed": r.r_closed, "verdict": r.cp_verdict}
-        for r in scan.results
-    ]
+    rows = [[r.t, r.r_value, r.r_closed, r.cp_verdict] for r in scan.results]
     return ["t", "r_value", "r_closed", "verdict"], rows, {}
-
-
-def _ensemble_rows(ens):
-    rows = []
-    for k in range(len(ens.times)):
-        rows.append(
-            {
-                "t": float(ens.times[k]),
-                "mean1": float(ens.mean_stokes[k, 0]),
-                "mean2": float(ens.mean_stokes[k, 1]),
-                "mean3": float(ens.mean_stokes[k, 2]),
-                "stderr1": float(ens.stderr[k, 0]),
-                "stderr2": float(ens.stderr[k, 1]),
-                "stderr3": float(ens.stderr[k, 2]),
-            }
-        )
-    return rows
 
 
 def _mode_montecarlo(cfg: RunConfig):
     runner = mc_double_pass if cfg.round_trip else ensemble_average
     ens = runner(cfg.noise, cfg.precession, cfg.trajectory)
-    columns = ["t", "mean1", "mean2", "mean3", "stderr1", "stderr2", "stderr3"]
-    return columns, _ensemble_rows(ens), {}
+    return _table(ens.times, mean=ens.mean_stokes, stderr=ens.stderr)
 
 
 def _mode_compare(cfg: RunConfig):
     report = mc_vs_master_report(cfg.noise, cfg.precession, cfg.trajectory)
-    columns = ["t"]
-    for stem in ("mc", "stderr", "master", "z"):
-        columns += [f"{stem}{i}" for i in (1, 2, 3)]
-    rows = []
-    for k in range(len(report.times)):
-        row = {"t": float(report.times[k])}
-        for stem, arr in (
-            ("mc", report.mc_mean),
-            ("stderr", report.mc_stderr),
-            ("master", report.master),
-            ("z", report.z),
-        ):
-            for i in range(3):
-                row[f"{stem}{i + 1}"] = float(arr[k, i])
-        rows.append(row)
-    extras = {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
-    return columns, rows, extras
+    columns, rows, _ = _table(report.times, mc=report.mc_mean, stderr=report.mc_stderr,
+                              master=report.master, z=report.z)
+    return columns, rows, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
 
 
 _HANDLERS = {
@@ -573,8 +492,13 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration and write its output table."""
     columns, rows, extras = _HANDLERS[cfg.mode](cfg)
-    metadata = _metadata(cfg)
-    metadata.update(extras)
+    metadata = {
+        "mode": cfg.mode,
+        "version": __version__,
+        "config_digest": cfg.config_digest,
+        "seed": cfg.trajectory.seed if cfg.trajectory is not None else None,
+        **extras,
+    }
     render = _render_csv if cfg.output_format == "csv" else _render_json
     text = render(metadata, columns, rows)
     if cfg.output_path is None:
@@ -604,23 +528,20 @@ def main(argv=None) -> int:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        cfg = parse_config(text)
-        if args.mode is not None and args.mode != cfg.mode:
-            # re-validate under the new mode: requirements differ per mode
-            obj = json.loads(text)
+        # flags are written into the config, so they are validated with it
+        obj = _load(text)
+        if args.mode is not None:
             obj["mode"] = args.mode
-            cfg = parse_config(json.dumps(obj))
-        if args.seed is not None:
-            if cfg.trajectory is None:
-                raise ConfigError("--seed requires a trajectory block")
-            cfg = dataclasses.replace(
-                cfg, trajectory=dataclasses.replace(cfg.trajectory, seed=args.seed)
-            )
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_path=args.out)
-        if args.format is not None:
-            cfg = dataclasses.replace(cfg, output_format=args.format)
-        return run(cfg)
+        if args.seed is not None and "trajectory" not in obj:
+            raise ConfigError("--seed requires a trajectory block")
+        for block, key, value in (
+            ("trajectory", "seed", args.seed),
+            ("output", "path", args.out),
+            ("output", "format", args.format),
+        ):
+            if value is not None and isinstance(obj.setdefault(block, {}), dict):
+                obj[block][key] = value
+        return run(parse_config(json.dumps(obj)))
     except (ConfigError, InvalidInputError, UnsupportedConfigurationError) as exc:
         _diagnostic("error", "invalid-input", str(exc))
         return 2

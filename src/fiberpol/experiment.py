@@ -113,11 +113,6 @@ def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResu
     )
 
 
-def cp_test(result: ExperimentResult) -> bool:
-    """True when the measured R stays below 1 (within 1e-10)."""
-    return result.r_value <= 1.0 + CP_VERDICT_TOL
-
-
 def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
     """T1 and T2 in the symmetric regime b = 0, a = alpha.
 

@@ -19,14 +19,15 @@ stream keyed by (seed, j), independent of every other trajectory and of
 how work is scheduled.  Moments are accumulated in fixed-size blocks
 (_BLOCK = 256 trajectories); each block accumulates running mean and
 squared-deviation moments in trajectory order, and blocks are merged in
-block order, so ensemble means and standard errors are bit-identical for
-any worker count at a fixed seed.  The running-moment form also keeps
+block order, so ensemble means and standard errors are bit-identical at
+a fixed seed.  Groups run in order; n_workers is accepted and does not
+change results.  The running-moment form also keeps
 the variance of an ensemble of identical trajectories at exactly zero,
 which the zero-noise limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
 _GROUP_BLOCKS blocks is advanced side by side in component-major
-(3, width) arrays, and a worker takes one group at a time.  Every step
+(3, width) arrays, one group after another.  Every step
 applies the same elementwise operations in the same order whatever the
 width, so the states, and hence the moments, carry the same bits as a
 block-at-a-time or one-trajectory-at-a-time run.
@@ -46,7 +47,6 @@ time far exceeds the noise correlation time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +64,7 @@ from .propagator import mueller_exact
 from .states import StokesVector
 
 _BLOCK = 256
-#: blocks propagated side by side: a group is one worker's unit of work
+#: blocks propagated side by side
 _GROUP_BLOCKS = 8
 #: steps whose normals are drawn, and whose states are recorded, at a time
 _CHUNK = 64
@@ -340,20 +340,14 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajec
     if n_workers < 1:
         raise InvalidInputError("n_workers must be at least 1")
     width = _GROUP_BLOCKS * _BLOCK
-    edges = list(range(0, cfg.n_traj, width)) + [cfg.n_traj]
+    parts = [
+        part
+        for j0 in range(0, cfg.n_traj, width)
+        for part in _group_moments(spec, fp, cfg, j0, min(j0 + width, cfg.n_traj), round_trip)
+    ]
 
-    def partials(i):
-        return _group_moments(spec, fp, cfg, edges[i], edges[i + 1], round_trip)
-
-    if n_workers == 1:
-        groups = [partials(i) for i in range(len(edges) - 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            groups = list(pool.map(partials, range(len(edges) - 1)))
-    parts = [part for group in groups for part in group]
-
-    # merge block moments in block order: results do not depend on the
-    # worker count, and identical blocks merge with delta exactly zero
+    # merge block moments in block order: identical blocks merge with
+    # delta exactly zero
     count, mean, m2 = parts[0]
     for b_count, b_mean, b_m2 in parts[1:]:
         total = count + b_count
@@ -393,7 +387,11 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
 
 def ensemble_average(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                      n_workers: int = 1) -> EnsembleTrajectory:
-    """Ensemble mean and standard error of the Stokes vector over n_traj runs."""
+    """Ensemble mean and standard error of the Stokes vector over n_traj runs.
+
+    n_workers must be at least 1; groups run in order whatever its value,
+    so it does not change results.
+    """
     return _ensemble(spec, fp, cfg, round_trip=False, n_workers=n_workers)
 
 

@@ -81,7 +81,11 @@ class FreePrecession:
         n = tuple(float(v) for v in self.n)
         if len(n) != 3:
             raise InvalidInputError("precession axis n must have 3 components")
-        if abs(math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2) - 1.0) > AXIS_TOL:
+        try:
+            norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+        except OverflowError:  # a component beyond ~1e154 squares past the float range
+            norm = math.inf
+        if abs(norm - 1.0) > AXIS_TOL:
             raise InvalidInputError("precession axis n must be a unit vector within 1e-12")
         object.__setattr__(self, "omega0", float(self.omega0))
         object.__setattr__(self, "n", n)

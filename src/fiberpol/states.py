@@ -95,7 +95,10 @@ class StokesVector:
         return math.sqrt(self.rho1**2 + self.rho2**2 + self.rho3**2)
 
     def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return self.rho1**2 + self.rho2**2 + self.rho3**2 <= 1.0 + tol
+        try:
+            return self.rho1**2 + self.rho2**2 + self.rho3**2 <= 1.0 + tol
+        except OverflowError:  # a component beyond ~1e154 squares past the float range
+            return False
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,26 @@
 """End-to-end tests for the command-line front end."""
 
+import copy
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberpol import (
+    ConfigError,
     DissipativeParams,
+    InvalidInputError,
     NumericalFailureError,
+    UnsupportedConfigurationError,
     build_generator,
     mueller_exact,
 )
-from fiberpol.cli import main, parse_config
+from fiberpol.cli import _SCHEMA, MODES, RunConfig, main, parse_config
 
 PARAMS_BLOCK = {
     "a": 0.8,
@@ -178,10 +185,46 @@ def test_time_grid_expansion(tmp_path, capsys):
 
 
 def test_initial_must_be_physical(tmp_path, capsys):
-    cfg = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1], "initial": [1.1, 0, 0]}
+    for initial in ([1.1, 0, 0], [1e200, 0, 0]):
+        cfg = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1], "initial": initial}
+        code, _, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        (diag,) = diagnostics(err)
+        assert "unit ball" in diag["message"]
+
+
+def test_precession_axis_must_be_unit(tmp_path, capsys):
+    cfg = {
+        "mode": "evolve",
+        "noise": {"g": [0.1, 0.1, 0.1], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0, "n": [1e200, 0, 0]},
+        "times": [0.1],
+    }
     code, _, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
     assert code == 2
-    assert "unit ball" in diagnostics(err)[0]["message"]
+    (diag,) = diagnostics(err)
+    assert "unit vector" in diag["message"]
+
+
+def test_non_finite_numbers_rejected(tmp_path, capsys):
+    montecarlo = {
+        "mode": "montecarlo",
+        "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1], "mean": [math.nan, 0, 0]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 10, "n_traj": 100, "seed": 5},
+    }
+    for cfg, path in (
+        ({"mode": "evolve", "params": dict(PARAMS_BLOCK, a=math.nan), "times": [0.1]}, "params.a"),
+        ({"mode": "evolve", "params": PARAMS_BLOCK, "times": [math.inf]}, "times[0]"),
+        ({"mode": "evolve", "params": dict(PARAMS_BLOCK, b=10**400), "times": [0.1]}, "params.b"),
+        (montecarlo, "noise.mean[0]"),
+    ):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert out == ""
+        (diag,) = diagnostics(err)
+        assert diag["message"] == f"{path} must be a finite number"
 
 
 def test_evolve_csv_matches_library(tmp_path, capsys):
@@ -407,6 +450,31 @@ def test_mode_override_revalidates(tmp_path, capsys):
     assert "needs noise and precession" in diagnostics(err)[0]["message"]
 
 
+def test_overrides_replace_the_fields_they_name(tmp_path, capsys):
+    # each flag is validated in place of the config field it overrides
+    untimed = {"mode": "evolve", "params": PARAMS_BLOCK}
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, untimed),
+                                      "--mode", "cp-check"])
+    assert (code, err) == (0, "")
+    assert csv_parts(out)[0]["mode"] == "cp-check"
+
+    xml = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1], "output": {"format": "xml"}}
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, xml), "--format", "csv"])
+    assert (code, err) == (0, "")
+    csv_parts(out)
+
+    bad_seed = {
+        "mode": "montecarlo",
+        "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 10, "n_traj": 100, "seed": -4},
+    }
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, bad_seed),
+                                      "--seed", "4"])
+    assert (code, err) == (0, "")
+    assert csv_parts(out)[0]["seed"] == 4
+
+
 def test_mode_override_accepted(tmp_path, capsys):
     cfg = {
         "mode": "evolve",
@@ -524,3 +592,53 @@ def test_golden_cli_bytes(tmp_path, capsys, case):
     code, out, _ = run_cli(capsys, ["--config", write_config(tmp_path, GOLDEN_CONFIGS[name])] + flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# Fuzzing edits the golden configs: it sets or drops top-level keys and
+# the schema's fields of the blocks present, or adds unknown ones, with
+# values of every JSON kind; numbers include huge integers and floats,
+# nan and inf.
+NUMBERS = (
+    st.sampled_from([1e200, -1e300, 1e308, 5e-324, 10**400, 2**63, 2**64, -(2**63)])
+    | st.floats()
+    | st.integers(-300, 300)
+)
+SCALARS = st.none() | st.booleans() | st.sampled_from([*MODES, "csv", "json", "xml", ""])
+VALUES = (
+    NUMBERS
+    | st.lists(NUMBERS, min_size=3, max_size=3)
+    | st.lists(NUMBERS | SCALARS, max_size=4)
+    | SCALARS
+    | st.dictionaries(st.text(max_size=6), NUMBERS | SCALARS, max_size=3)
+)
+DROP = object()
+
+
+@st.composite
+def fuzzed_configs(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(list(GOLDEN_CONFIGS.values()))))
+    for _ in range(draw(st.integers(1, 3))):
+        # mode last: hypothesis favours early choices, and a bad mode stops the parse
+        paths = [(block, key) for block, fields in _SCHEMA.items()
+                 if isinstance(obj.get(block), dict) for key in fields]
+        paths += [(None, key) for key in ("initial", *_SCHEMA, "unknown", "mode")]
+        block, key = draw(st.sampled_from(paths))
+        target = obj if block is None else obj[block]
+        value = draw(VALUES | st.just(DROP))
+        if value is DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return obj
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=fuzzed_configs())
+def test_parse_config_fails_only_with_typed_errors(obj):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config(json.dumps(obj))
+        except (ConfigError, InvalidInputError, UnsupportedConfigurationError):
+            return
+    assert isinstance(cfg, RunConfig)

@@ -47,6 +47,8 @@ def test_free_precession_validation():
     assert fp.n == (0.0, 0.0, 1.0)
     with pytest.raises(InvalidInputError, match="unit vector"):
         FreePrecession(omega0=1.0, n=(1.0, 1.0, 0.0))
+    with pytest.raises(InvalidInputError, match="unit vector"):
+        FreePrecession(omega0=1.0, n=(1e200, 0.0, 0.0))
     with pytest.raises(InvalidInputError, match="3 components"):
         FreePrecession(omega0=1.0, n=(1.0, 0.0))
 
