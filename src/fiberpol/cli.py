@@ -362,12 +362,14 @@ def _json_value(value) -> str:
 
 
 def _canonical(value) -> str:
-    """Canonical text of a config value, for digesting."""
+    """Canonical text of a parsed config value, for digesting."""
+    if isinstance(value, float):
+        return f"{value:.17g}"  # parsed numbers are finite
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_canonical(value[k])}" for k in sorted(value))
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_canonical(v) for v in value) + "]"
+        return "[" + ", ".join(map(_canonical, value)) + "]"
     return _json_value(value)
 
 
@@ -409,7 +411,10 @@ def _generator_pieces(cfg: RunConfig):
 
 
 def _table(times, **stems):
-    """Columns t, <stem>1, <stem>2, <stem>3 per stem; each stem is a (len(times), 3) array."""
+    """A mode's table with columns t, <stem>1, <stem>2, <stem>3 per stem, and no extras.
+
+    Each stem is a (len(times), 3) array; values are copied, not recomputed.
+    """
     columns = ["t"] + [f"{stem}{i}" for stem in stems for i in (1, 2, 3)]
     return columns, np.column_stack([times, *stems.values()]).tolist(), {}
 

@@ -20,17 +20,17 @@ how work is scheduled.  Moments are accumulated in fixed-size blocks
 (_BLOCK = 256 trajectories); each block accumulates running mean and
 squared-deviation moments in trajectory order, and blocks are merged in
 block order, so ensemble means and standard errors are bit-identical at
-a fixed seed.  Groups run in order; n_workers is accepted and does not
-change results.  The running-moment form also keeps
-the variance of an ensemble of identical trajectories at exactly zero,
-which the zero-noise limit relies on.
+a fixed seed.  The running-moment form also keeps the variance of an
+ensemble of identical trajectories at exactly zero, which the zero-noise
+limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
 _GROUP_BLOCKS blocks is advanced side by side in component-major
-(3, width) arrays, one group after another.  Every step
-applies the same elementwise operations in the same order whatever the
-width, so the states, and hence the moments, carry the same bits as a
-block-at-a-time or one-trajectory-at-a-time run.
+(3, width) arrays.  Groups run in order; n_workers is accepted and does
+not change results.  Every step applies the same elementwise operations
+in the same order whatever the width, so the states, and hence the
+moments, carry the same bits as a block-at-a-time or
+one-trajectory-at-a-time run.
 
 Draw order per trajectory and segment: n_steps + 1 rows of three
 standard normals; row 0 initializes F from its stationary law
