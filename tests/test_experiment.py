@@ -1,5 +1,6 @@
 """Tests for the double-pass observable R(t) and relaxation-time bookkeeping."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,7 +11,11 @@ from fiberpol import (
     DissipativeParams,
     InvalidInputError,
     SingularConfigurationError,
+    StokesVector,
     UnsupportedConfigurationError,
+    backward_mueller,
+    double_pass,
+    mueller_closed_form,
     r_observable,
     r_scan,
     relaxation_times,
@@ -144,3 +149,40 @@ def test_cp_family_never_exceeds_one():
             assert res.cp_verdict
             checked += 1
     assert checked > 120
+
+
+# The bits of the master route, pinned on three branches of the closed
+# form: oscillatory, overdamped and degenerate (Omega = 0 exactly, which
+# always takes the series).  The fourth set puts t = pi / 2 on a zero of
+# the linear probe's second component, so the scan flags it.
+GOLDEN_SETS = (
+    (DissipativeParams(a=0.8, b=0.2, c=0.0, alpha=0.6, beta=0.0, gamma=2.5), 1.7),
+    (DissipativeParams(a=2.0, b=0.9, c=0.0, alpha=0.3, beta=0.0, gamma=0.4), 0.5),
+    (DissipativeParams(a=0.7, b=-0.4, c=0.0, alpha=0.7, beta=0.0, gamma=1.9), 0.4),
+    (DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=2.0), 1.0),
+)
+GOLDEN_TIMES = (0.05, 0.3, 0.9, math.pi / 2.0, 2.2, 7.5)
+GOLDEN_CLOSED_FORM_DIGEST = "888c6ee7f604f221c25cfaa32d9af956521260f2b673171fa55b0fbc8113f4bf"
+
+
+def test_golden_closed_form_bits():
+    s0 = StokesVector(0.6, -0.3, 0.5)
+    blobs = []
+    for p, omega in GOLDEN_SETS:
+        scan = r_scan(p, omega, GOLDEN_TIMES)
+        blobs += [
+            np.array([res.t for res in scan.results]),
+            np.array([res.r_value for res in scan.results]),
+            np.array([res.r_closed for res in scan.results]),
+            np.array([res.cp_verdict for res in scan.results]),
+            np.array(scan.singular_times),
+        ]
+        for t in (0.0, *GOLDEN_TIMES):
+            blobs += [
+                np.array(mueller_closed_form(p, omega, t).matrix),
+                np.array(backward_mueller(p, omega, t).matrix),
+                np.array(double_pass(p, omega, t, s0).as_array()),
+            ]
+    digest = hashlib.sha256(b"".join(blob.tobytes() for blob in blobs)).hexdigest()
+    assert scan.singular_times == (math.pi / 2.0,)
+    assert digest == GOLDEN_CLOSED_FORM_DIGEST
