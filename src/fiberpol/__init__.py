@@ -74,7 +74,6 @@ from .noise import (
     simplified_params,
 )
 from .propagator import (
-    ClosedFormContext,
     MuellerMatrix,
     backward_mueller,
     double_pass,
@@ -135,7 +134,6 @@ __all__ = [
     "lindblad_apply",
     # propagator
     "MuellerMatrix",
-    "ClosedFormContext",
     "mueller_exact",
     "mueller_closed_form",
     "backward_mueller",

@@ -467,7 +467,7 @@ def _mode_experiment(cfg: RunConfig):
             "singular-time",
             f"R(t) denominator vanishes at t = {_fmt_float(t)}; point skipped",
         )
-    rows = [[r.t, r.r_value, r.r_closed, r.cp_verdict] for r in scan.results]
+    rows = list(zip(scan.times, scan.r_value, scan.r_closed, scan.cp_verdict))
     return ["t", "r_value", "r_closed", "verdict"], rows, {}
 
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, SingularConfigurationError
+from .errors import InvalidInputError, NumericalFailureError, SingularConfigurationError
 from .generator import DissipativeParams
-from .propagator import backward_mueller, mueller_closed_form
+from .propagator import _closed_form
 from .states import StokesVector
 
 CP_VERDICT_TOL = 1e-10
@@ -67,10 +67,45 @@ class RelaxationTimes:
 
 @dataclass(frozen=True)
 class RScanResult:
-    """Results of an R(t) scan; singular times are flagged, not fatal."""
+    """Results of an R(t) scan as columns; singular times are flagged, not fatal.
 
-    results: tuple[ExperimentResult, ...]
+    times, r_value, r_closed and cp_verdict hold one entry per regular
+    point, in scan order; singular_times holds the skipped points.
+    """
+
+    times: tuple[float, ...]
+    r_value: tuple[float, ...]
+    r_closed: tuple[float, ...]
+    cp_verdict: tuple[bool, ...]
     singular_times: tuple[float, ...]
+
+
+def _r_point(p: DissipativeParams, omega: float, t: float):
+    """(forward matrix, plus_double, r_value, r_closed, cp_verdict) at one float time t."""
+    if t <= 0.0:
+        raise InvalidInputError("R(t) needs a strictly positive time")
+    forward = _closed_form(p, p.b, omega, t)
+    backward = _closed_form(p, -p.b, -omega, t)
+    plus_single = forward[:, 0]
+    plus_double = backward @ plus_single
+    r_single = forward[:, 2]
+    if abs(plus_single[1]) < _DENOM_TOL:
+        raise SingularConfigurationError(
+            f"second Stokes component of the linear probe vanishes at t = {t}; "
+            "pick a time away from the zeros of sin(2 Omega t)"
+        )
+    if abs(r_single[2]) < _UNDERFLOW_TOL:
+        raise SingularConfigurationError(
+            f"third Stokes component of the circular probe underflows at t = {t}"
+        )
+    r_value = float((plus_double[0] + plus_double[1] * plus_single[0] / plus_single[1]) / r_single[2])
+    if not math.isfinite(r_value):
+        raise NumericalFailureError(f"R(t) is not finite at t = {t}")
+    try:
+        r_closed = math.exp(-2.0 * (p.a + p.alpha - p.gamma) * t)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"closed-form R(t) overflows at t = {t}") from exc
+    return forward, plus_double, r_value, r_closed, r_value <= 1.0 + CP_VERDICT_TOL
 
 
 def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResult:
@@ -81,35 +116,19 @@ def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResu
     is carried alongside as the prediction.  Requires t > 0.  Raises
     :class:`SingularConfigurationError` when the linear probe's second
     Stokes component vanishes at t (a zero of sin(2 Omega t)) or the
-    circular probe's third component underflows.
+    circular probe's third component underflows, and
+    :class:`NumericalFailureError` when R or its exponential is not finite.
     """
     t = float(t)
-    if t <= 0.0:
-        raise InvalidInputError("R(t) needs a strictly positive time")
-    forward = mueller_closed_form(p, omega, t)
-    backward = backward_mueller(p, omega, t)
-    plus_single = forward.matrix[:, 0]
-    plus_double = backward.matrix @ plus_single
-    r_single = forward.matrix[:, 2]
-    if abs(plus_single[1]) < _DENOM_TOL:
-        raise SingularConfigurationError(
-            f"second Stokes component of the linear probe vanishes at t = {t}; "
-            "pick a time away from the zeros of sin(2 Omega t)"
-        )
-    if abs(r_single[2]) < _UNDERFLOW_TOL:
-        raise SingularConfigurationError(
-            f"third Stokes component of the circular probe underflows at t = {t}"
-        )
-    r_value = (plus_double[0] + plus_double[1] * plus_single[0] / plus_single[1]) / r_single[2]
-    r_closed = math.exp(-2.0 * (p.a + p.alpha - p.gamma) * t)
+    forward, plus_double, r_value, r_closed, cp_verdict = _r_point(p, float(omega), t)
     return ExperimentResult(
         t=t,
-        r_value=float(r_value),
+        r_value=r_value,
         r_closed=r_closed,
-        stokes_plus_single=StokesVector.from_array(plus_single),
+        stokes_plus_single=StokesVector.from_array(forward[:, 0]),
         stokes_plus_double=StokesVector.from_array(plus_double),
-        stokes_r_single=StokesVector.from_array(r_single),
-        cp_verdict=bool(r_value <= 1.0 + CP_VERDICT_TOL),
+        stokes_r_single=StokesVector.from_array(forward[:, 2]),
+        cp_verdict=cp_verdict,
     )
 
 
@@ -132,11 +151,14 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
 
 def r_scan(p: DissipativeParams, omega: float, times) -> RScanResult:
     """Evaluate R over a time grid, flagging singular points instead of failing."""
-    results: list[ExperimentResult] = []
+    omega = float(omega)
+    rows: list[tuple] = []
     singular: list[float] = []
     for t in times:
+        t = float(t)
         try:
-            results.append(r_observable(p, omega, float(t)))
+            rows.append((t, *_r_point(p, omega, t)[2:]))
         except SingularConfigurationError:
-            singular.append(float(t))
-    return RScanResult(results=tuple(results), singular_times=tuple(singular))
+            singular.append(t)
+    columns = tuple(zip(*rows)) or ((), (), (), ())
+    return RScanResult(*columns, singular_times=tuple(singular))

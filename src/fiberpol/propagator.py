@@ -26,17 +26,15 @@ Negative Omega^2 turns the trigonometric pair into hyperbolic ones
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidInputError, UnsupportedConfigurationError
-from .generator import DissipativeParams, GeneratorMatrix, build_generator
+from .errors import InvalidInputError, NumericalFailureError, UnsupportedConfigurationError
+from .generator import DissipativeParams, GeneratorMatrix
 from .states import StokesVector
 
-BRANCH_EPS = 1e-9
 TRANSVERSE_TOL = 1e-12
 #: switch to the series when (2 Omega t)^2 is below this, i.e. |Omega| t < 1e-4
 _SERIES_Z = 4e-8
@@ -62,25 +60,6 @@ class MuellerMatrix:
 
     def __matmul__(self, other: "MuellerMatrix") -> "MuellerMatrix":
         return MuellerMatrix(self.matrix @ other.matrix, self.t + other.t)
-
-
-@dataclass(frozen=True)
-class ClosedFormContext:
-    """Discriminant and branch of the closed-form solution."""
-
-    omega_squared: float
-    branch: Literal["oscillatory", "overdamped", "degenerate"]
-
-    @classmethod
-    def from_params(cls, p: DissipativeParams, omega: float) -> "ClosedFormContext":
-        osq = omega**2 - p.b**2 - 0.25 * (p.a - p.alpha) ** 2
-        if osq > BRANCH_EPS**2:
-            branch = "oscillatory"
-        elif osq < -(BRANCH_EPS**2):
-            branch = "overdamped"
-        else:
-            branch = "degenerate"
-        return cls(omega_squared=osq, branch=branch)
 
 
 def _damped_trig(decay_rate: float, omega_sq: float, t: float) -> tuple[float, float]:
@@ -116,7 +95,38 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
     t = float(t)
     if t < 0.0:
         raise InvalidInputError("evolution time must be non-negative")
-    return MuellerMatrix(expm(-2.0 * t * g.matrix), t)
+    m = expm(-2.0 * t * g.matrix)
+    if not np.isfinite(m).all():
+        raise NumericalFailureError(f"matrix exponential is not finite at t = {t}")
+    return MuellerMatrix(m, t)
+
+
+def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.ndarray:
+    """The closed-form 3x3 matrix, with b and omega taken apart from p.
+
+    The mirror of :func:`backward_mueller` flips only b and omega, so
+    both passes share this kernel.  Requires c = beta = 0 and t >= 0.
+    """
+    if abs(p.c) > TRANSVERSE_TOL or abs(p.beta) > TRANSVERSE_TOL:
+        raise UnsupportedConfigurationError(
+            "closed form requires c = beta = 0 (within 1e-12); use mueller_exact instead"
+        )
+    if t < 0.0:
+        raise InvalidInputError("evolution time must be non-negative")
+    omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2
+    try:
+        damped_cos, damped_sinc = _damped_trig(p.a + p.alpha, omega_sq, t)
+        m33 = math.exp(-2.0 * p.gamma * t)
+    except (OverflowError, ValueError) as exc:  # exp past the float range, cos or sin of inf
+        raise NumericalFailureError(f"closed-form propagator is not finite at t = {t}") from exc
+    half_diff = 0.5 * (p.alpha - p.a)
+    return np.array(
+        [
+            [damped_cos + half_diff * damped_sinc, -(b + omega) * damped_sinc, 0.0],
+            [-(b - omega) * damped_sinc, damped_cos - half_diff * damped_sinc, 0.0],
+            [0.0, 0.0, m33],
+        ]
+    )
 
 
 def mueller_closed_form(p: DissipativeParams, omega: float, t: float) -> MuellerMatrix:
@@ -125,25 +135,8 @@ def mueller_closed_form(p: DissipativeParams, omega: float, t: float) -> Mueller
     Transverse couplings beyond 1e-12 are unsupported here; use
     :func:`mueller_exact` for those.  Requires t >= 0.
     """
-    if abs(p.c) > TRANSVERSE_TOL or abs(p.beta) > TRANSVERSE_TOL:
-        raise UnsupportedConfigurationError(
-            "closed form requires c = beta = 0 (within 1e-12); use mueller_exact instead"
-        )
     t = float(t)
-    if t < 0.0:
-        raise InvalidInputError("evolution time must be non-negative")
-    omega = float(omega)
-    ctx = ClosedFormContext.from_params(p, omega)
-    damped_cos, damped_sinc = _damped_trig(p.a + p.alpha, ctx.omega_squared, t)
-    half_diff = 0.5 * (p.alpha - p.a)
-    m = np.array(
-        [
-            [damped_cos + half_diff * damped_sinc, -(p.b + omega) * damped_sinc, 0.0],
-            [-(p.b - omega) * damped_sinc, damped_cos - half_diff * damped_sinc, 0.0],
-            [0.0, 0.0, math.exp(-2.0 * p.gamma * t)],
-        ]
-    )
-    return MuellerMatrix(m, t)
+    return MuellerMatrix(_closed_form(p, p.b, float(omega), t), t)
 
 
 def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMatrix:
@@ -154,7 +147,8 @@ def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMat
     unchanged.  The mirror itself is absorbed into this matrix, so the
     round trip is backward_mueller @ mueller_closed_form.
     """
-    return mueller_closed_form(replace(p, b=-p.b), -float(omega), t)
+    t = float(t)
+    return MuellerMatrix(_closed_form(p, -p.b, -float(omega), t), t)
 
 
 def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) -> StokesVector:
@@ -166,6 +160,7 @@ def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) 
     """
     if not s0.is_physical():
         raise InvalidInputError("initial Stokes vector exceeds the unit ball beyond 1e-12")
-    forward = mueller_closed_form(p, omega, t)
-    backward = backward_mueller(p, omega, t)
-    return StokesVector.from_array(backward.matrix @ (forward.matrix @ s0.as_array()))
+    t, omega = float(t), float(omega)
+    forward = _closed_form(p, p.b, omega, t)
+    backward = _closed_form(p, -p.b, -omega, t)
+    return StokesVector.from_array(backward @ (forward @ s0.as_array()))

@@ -89,10 +89,10 @@ def test_r_scan_collects_singular_times():
     p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=2.0)
     times = [0.3, math.pi / 2.0, 0.8]
     scan = r_scan(p, 1.0, times)
-    assert [res.t for res in scan.results] == [0.3, 0.8]
+    assert list(scan.times) == [0.3, 0.8]
     assert list(scan.singular_times) == [math.pi / 2.0]
-    for res in scan.results:
-        assert abs(res.r_value - res.r_closed) < 1e-9
+    for r_value, r_closed in zip(scan.r_value, scan.r_closed):
+        assert abs(r_value - r_closed) < 1e-9
 
 
 def test_relaxation_times_boundary_exact():
@@ -171,10 +171,10 @@ def test_golden_closed_form_bits():
     for p, omega in GOLDEN_SETS:
         scan = r_scan(p, omega, GOLDEN_TIMES)
         blobs += [
-            np.array([res.t for res in scan.results]),
-            np.array([res.r_value for res in scan.results]),
-            np.array([res.r_closed for res in scan.results]),
-            np.array([res.cp_verdict for res in scan.results]),
+            np.array(scan.times),
+            np.array(scan.r_value),
+            np.array(scan.r_closed),
+            np.array(scan.cp_verdict),
             np.array(scan.singular_times),
         ]
         for t in (0.0, *GOLDEN_TIMES):
