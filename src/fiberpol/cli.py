@@ -236,6 +236,8 @@ def _load(text: str) -> dict:
         raise ConfigError(
             f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError("config syntax error: nesting too deep") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     return obj
@@ -299,6 +301,8 @@ def parse_config(text: str) -> RunConfig:
     if mode in _STOCHASTIC_MODES and trajectory is None:
         raise ConfigError(f"mode {mode!r} requires a trajectory block")
 
+    digested = {name: dict(sorted(value.items())) if isinstance(value, dict) else value
+                for name, value in sorted({"mode": mode, **blocks}.items())}
     return RunConfig(
         mode=mode,
         noise=noise,
@@ -311,7 +315,7 @@ def parse_config(text: str) -> RunConfig:
         round_trip=round_trip,
         output_path=output["path"],
         output_format=output["format"],
-        config_digest=hashlib.sha256(_canonical({"mode": mode, **blocks}).encode()).hexdigest(),
+        config_digest=hashlib.sha256(_json_value(digested).encode()).hexdigest(),
     )
 
 
@@ -359,18 +363,6 @@ def _json_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _canonical(value) -> str:
-    """Canonical text of a parsed config value, for digesting."""
-    if isinstance(value, float):
-        return f"{value:.17g}"  # parsed numbers are finite
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_canonical(value[k])}" for k in sorted(value))
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_canonical, value)) + "]"
-    return _json_value(value)
 
 
 def _render_csv(metadata: dict, columns: list[str], rows: list[list]) -> str:
@@ -496,7 +488,9 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration and write its output table."""
-    columns, rows, extras = _HANDLERS[cfg.mode](cfg)
+    # results are checked for overflow and nan, which raise NumericalFailureError
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns, rows, extras = _HANDLERS[cfg.mode](cfg)
     metadata = {
         "mode": cfg.mode,
         "version": __version__,
@@ -509,8 +503,11 @@ def run(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 
 

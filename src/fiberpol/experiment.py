@@ -67,10 +67,9 @@ class RelaxationTimes:
 
 @dataclass(frozen=True)
 class RScanResult:
-    """Results of an R(t) scan as columns; singular times are flagged, not fatal.
+    """Columns of an R(t) scan, one entry per regular point in scan order.
 
-    times, r_value, r_closed and cp_verdict hold one entry per regular
-    point, in scan order; singular_times holds the skipped points.
+    Singular points are flagged, not fatal: their times are in singular_times.
     """
 
     times: tuple[float, ...]

@@ -104,8 +104,7 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
 def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.ndarray:
     """The closed-form 3x3 matrix, with b and omega taken apart from p.
 
-    The mirror of :func:`backward_mueller` flips only b and omega, so
-    both passes share this kernel.  Requires c = beta = 0 and t >= 0.
+    The mirror flips only b and omega, so both passes share this kernel.
     """
     if abs(p.c) > TRANSVERSE_TOL or abs(p.beta) > TRANSVERSE_TOL:
         raise UnsupportedConfigurationError(

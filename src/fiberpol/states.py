@@ -32,18 +32,6 @@ PAULI = np.array(
 )
 PAULI.setflags(write=False)
 
-IDENTITY2 = np.eye(2, dtype=complex)
-IDENTITY2.setflags(write=False)
-
-
-def _frozen_array(value, shape, dtype=float):
-    arr = np.array(value, dtype=dtype)
-    if arr.shape != shape:
-        raise InvalidInputError(f"expected array of shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class PureStateAngles:
     """Polar parametrization of a pure state, cos(theta)|+> + e^{i phi} sin(theta)|->.

@@ -510,6 +510,52 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in diagnostics(err)[0]["message"]
 
 
+NON_CP = {"a": -1.0, "b": 0.0, "c": 0.0, "alpha": -1.0, "beta": 0.0, "gamma": -1.0, "omega": 0.3}
+
+
+# Each run overflows the float range at its last time: the matrix
+# exponential, the closed-form damping, R(t) against a decaying circular
+# probe, and cos(2 Omega t) at t = 1e308.
+@pytest.mark.parametrize("cfg", [
+    {"mode": "evolve", "params": NON_CP, "times": [1.0, 400.0]},
+    {"mode": "mueller", "params": NON_CP, "times": [1.0, 400.0]},
+    {"mode": "experiment", "params": NON_CP, "times": [1.0, 400.0]},
+    {"mode": "experiment", "params": dict(NON_CP, a=-0.05, alpha=-0.05, gamma=0.8),
+     "times": [1.0, 400.0]},
+    {"mode": "experiment", "params": dict(NON_CP, a=0.1, alpha=0.1, gamma=0.3, omega=5.0),
+     "times": [1.0, 1e308]},
+], ids=["evolve", "mueller", "experiment-damping", "experiment-r", "experiment-huge-t"])
+def test_non_finite_results_exit_3(tmp_path, capsys, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert code == 3
+    assert out == ""
+    (diag,) = diagnostics(err)
+    assert diag["code"] == "numerical-failure"
+    assert f"t = {cfg['times'][-1]}" in diag["message"]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "absent" / "x.csv")
+    cfg = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1]}
+    for obj, flags in ((cfg, ["--out", target]), (dict(cfg, output={"path": target}), [])):
+        code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, obj)] + flags)
+        assert code == 2
+        assert out == ""
+        (diag,) = diagnostics(err)
+        assert diag["message"].startswith("cannot write output: ")
+
+
+def test_deeply_nested_config_is_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, ["--config", str(path)])
+    assert code == 2
+    (diag,) = diagnostics(err)
+    assert diag["message"].startswith("config syntax error")
+
+
 # One small config per mode.  Each is run in CSV and, through --format, in
 # JSON, plus a --seed and a --mode override; stdout is pinned by SHA-256,
 # the config digest in the metadata included.
@@ -590,8 +636,9 @@ GOLDEN_RUNS = {
 def test_golden_cli_bytes(tmp_path, capsys, case):
     name, flags, expected = GOLDEN_RUNS[case]
     path = write_config(tmp_path, GOLDEN_CONFIGS[name])
-    code, out, _ = run_cli(capsys, ["--config", path] + flags)
+    code, out, err = run_cli(capsys, ["--config", path] + flags)
     assert code == 0
+    assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
