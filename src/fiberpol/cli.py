@@ -54,6 +54,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    TOL,
     ConfigError,
     InvalidInputError,
     NumericalFailureError,
@@ -450,7 +451,7 @@ def _mode_cp_check(cfg: RunConfig):
 
 def _mode_experiment(cfg: RunConfig):
     params, omega = _generator_pieces(cfg)
-    if abs(omega[0]) > 1e-12 or abs(omega[1]) > 1e-12:
+    if abs(omega[0]) > TOL or abs(omega[1]) > TOL:
         raise ConfigError("experiment mode requires precession about axis 3")
     scan = r_scan(params, float(omega[2]), cfg.times)
     for t in scan.singular_times:

@@ -26,13 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, NumericalFailureError, SingularConfigurationError
+from .errors import (
+    CP_TOL,
+    TOL,
+    InvalidInputError,
+    NumericalFailureError,
+    SingularConfigurationError,
+    UnsupportedConfigurationError,
+)
 from .generator import DissipativeParams
 from .propagator import _closed_form
 from .states import StokesVector
 
-CP_VERDICT_TOL = 1e-10
-_DENOM_TOL = 1e-12
 _UNDERFLOW_TOL = 1e-300
 
 
@@ -88,7 +93,7 @@ def _r_point(p: DissipativeParams, omega: float, t: float):
     plus_single = forward[:, 0]
     plus_double = backward @ plus_single
     r_single = forward[:, 2]
-    if abs(plus_single[1]) < _DENOM_TOL:
+    if abs(plus_single[1]) < TOL:
         raise SingularConfigurationError(
             f"second Stokes component of the linear probe vanishes at t = {t}; "
             "pick a time away from the zeros of sin(2 Omega t)"
@@ -104,7 +109,7 @@ def _r_point(p: DissipativeParams, omega: float, t: float):
         r_closed = math.exp(-2.0 * (p.a + p.alpha - p.gamma) * t)
     except OverflowError as exc:
         raise NumericalFailureError(f"closed-form R(t) overflows at t = {t}") from exc
-    return forward, plus_double, r_value, r_closed, r_value <= 1.0 + CP_VERDICT_TOL
+    return forward, plus_double, r_value, r_closed, r_value <= 1.0 + CP_TOL
 
 
 def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResult:
@@ -137,9 +142,7 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
     Outside that regime the two transverse components decay at unequal
     rates and a single T2 does not exist, so the call is rejected.
     """
-    if abs(p.b) > 1e-12 or abs(p.a - p.alpha) > 1e-12:
-        from .errors import UnsupportedConfigurationError
-
+    if abs(p.b) > TOL or abs(p.a - p.alpha) > TOL:
         raise UnsupportedConfigurationError(
             "relaxation times are defined for the symmetric regime b = 0, a = alpha"
         )

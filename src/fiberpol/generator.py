@@ -28,11 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CP_TOL, TOL, InvalidInputError, frozen_array
 from .states import PAULI, DensityMatrix
-
-SYMMETRY_TOL = 1e-12
-CP_DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,12 +59,9 @@ class KossakowskiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"Kossakowski matrix must be 3x3, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+        m = frozen_array(self.matrix, (3, 3), "Kossakowski matrix must be 3x3")
+        if np.max(np.abs(m - m.T)) > TOL:
             raise InvalidInputError("Kossakowski matrix must be symmetric within 1e-12")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -79,14 +73,8 @@ class GeneratorMatrix:
     omega: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        w = np.array(self.omega, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"generator must be 3x3, got shape {m.shape}")
-        if w.shape != (3,):
-            raise InvalidInputError(f"precession vector must have 3 components, got {w.shape}")
-        m.setflags(write=False)
-        w.setflags(write=False)
+        m = frozen_array(self.matrix, (3, 3), "generator must be 3x3")
+        w = frozen_array(self.omega, (3,), "precession vector must have 3 components")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "omega", w)
 
@@ -141,9 +129,7 @@ def params_from_kossakowski(k) -> DissipativeParams:
 
 def build_generator(p: DissipativeParams, omega) -> GeneratorMatrix:
     """Assemble H from dissipative parameters and a precession 3-vector."""
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (3,):
-        raise InvalidInputError(f"precession vector must have 3 components, got shape {w.shape}")
+    w = frozen_array(omega, (3,), "precession vector must have 3 components")
     m = np.array(
         [
             [p.a, p.b + w[2], p.c - w[1]],
@@ -177,12 +163,10 @@ def cp_inequalities(p: DissipativeParams) -> CPResiduals:
     )
 
 
-def is_completely_positive(p: DissipativeParams, tol: float = CP_DEFAULT_TOL) -> bool:
-    """Eigenvalue test: min eig of the Kossakowski matrix >= -tol."""
-    if tol < 0.0:
-        raise InvalidInputError("tol must be non-negative")
+def is_completely_positive(p: DissipativeParams) -> bool:
+    """Eigenvalue test: min eig of the Kossakowski matrix >= -1e-10."""
     eigs = np.linalg.eigvalsh(kossakowski_from_params(p).matrix)
-    return bool(eigs[0] >= -tol)
+    return bool(eigs[0] >= -CP_TOL)
 
 
 def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
@@ -198,9 +182,7 @@ def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
     equal -2 H r with H from :func:`build_generator`; the test suite
     checks the two routes against each other.
     """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (3,):
-        raise InvalidInputError(f"precession vector must have 3 components, got shape {w.shape}")
+    w = frozen_array(omega, (3,), "precession vector must have 3 components")
     rho = d.matrix
     ham = w[0] * PAULI[0] + w[1] * PAULI[1] + w[2] * PAULI[2]
     out = -1j * (ham @ rho - rho @ ham)

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .generator import params_from_kossakowski
+from .errors import TOL, InvalidInputError, frozen_array
+from .generator import build_generator, params_from_kossakowski
 from .noise import (
     FreePrecession,
     NoiseSpec,
@@ -72,6 +72,8 @@ _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
 Z_ABS_TOL = 1e-9
 STABILITY_LIMIT = 0.05
+#: time points, evenly spread, at which mc_vs_master_report compares
+_REPORT_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class TrajectoryConfig:
             abs(fp.omega0),
             max(math.sqrt(v) for v in spec.g),
         )
-        if self.dt * scale > STABILITY_LIMIT * (1.0 + 1e-12):
+        if self.dt * scale > STABILITY_LIMIT * (1.0 + TOL):
             raise InvalidInputError(
                 f"dt * max(lam_i, omega0, sqrt(G_i)) = {self.dt * scale:.4g} exceeds "
                 f"{STABILITY_LIMIT}; use a smaller dt"
@@ -127,9 +129,7 @@ class EnsembleTrajectory:
 
     def __post_init__(self):
         for name in ("times", "mean_stokes", "stderr"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,7 @@ class MCComparisonReport:
 
     def __post_init__(self):
         for name in ("times", "mc_mean", "mc_stderr", "master", "z"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
 
 def _ou_coefficients(g, lam, dt):
@@ -411,7 +409,7 @@ def mc_double_pass(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 
 def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-                        n_samples: int = 20, n_workers: int = 1) -> MCComparisonReport:
+                        n_workers: int = 1) -> MCComparisonReport:
     """Compare ensemble means against the averaged (master-equation) solution.
 
     The reference path goes through the damping matrix, the effective
@@ -423,14 +421,10 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     report simply shows large z: flagging the breakdown of the averaged
     description is an intended mode of use, not a failure.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be at least 1")
     ens = ensemble_average(spec, fp, cfg, n_workers=n_workers)
-    idx = np.unique(np.round(np.linspace(0, cfg.n_steps, n_samples)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, cfg.n_steps, _REPORT_ROWS)).astype(int))
     params = params_from_kossakowski(c_matrix_closed(spec, fp).symmetric_part())
     omega_vec = effective_hamiltonian(spec, fp)
-    from .generator import build_generator
-
     gen = build_generator(params, omega_vec)
     s0 = cfg.initial.as_array()
     master = np.stack([mueller_exact(gen, t).matrix @ s0 for t in ens.times[idx]])

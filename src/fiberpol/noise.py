@@ -27,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    TOL,
     InvalidInputError,
     NumericalFailureError,
     UnsupportedConfigurationError,
+    frozen_array,
 )
+from .generator import DissipativeParams
 
-AXIS_TOL = 1e-12
 QUADRATURE_ABS_TOL = 1e-9
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -85,7 +87,7 @@ class FreePrecession:
             norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
         except OverflowError:  # a component beyond ~1e154 squares past the float range
             norm = math.inf
-        if abs(norm - 1.0) > AXIS_TOL:
+        if abs(norm - 1.0) > TOL:
             raise InvalidInputError("precession axis n must be a unit vector within 1e-12")
         object.__setattr__(self, "omega0", float(self.omega0))
         object.__setattr__(self, "n", n)
@@ -98,10 +100,7 @@ class CMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"C matrix must be 3x3, got shape {m.shape}")
-        m.setflags(write=False)
+        m = frozen_array(self.matrix, (3, 3), "C matrix must be 3x3")
         object.__setattr__(self, "matrix", m)
 
     def symmetric_part(self) -> np.ndarray:
@@ -251,11 +250,11 @@ def effective_hamiltonian(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
 
 def _require_axis3_zero_mean(spec: NoiseSpec, fp: FreePrecession, op: str):
     n = fp.n
-    if abs(n[0]) > AXIS_TOL or abs(n[1]) > AXIS_TOL or abs(n[2] - 1.0) > AXIS_TOL:
+    if abs(n[0]) > TOL or abs(n[1]) > TOL or abs(n[2] - 1.0) > TOL:
         raise UnsupportedConfigurationError(
             f"{op} assumes precession about the circular axis n = (0, 0, 1); got n = {n}"
         )
-    if any(abs(m) > AXIS_TOL for m in spec.mean):
+    if any(abs(m) > TOL for m in spec.mean):
         raise UnsupportedConfigurationError(
             f"{op} assumes zero-mean noise; got mean = {spec.mean}"
         )
@@ -274,8 +273,6 @@ def simplified_params(spec: NoiseSpec, fp: FreePrecession):
         b     = omega0 (Lam2 - Lam1),   c = beta = 0
         omega = omega0 / 2 + omega0 (Lam1 + Lam2).
     """
-    from .generator import DissipativeParams
-
     _require_axis3_zero_mean(spec, fp, "simplified_params")
     lam1, lam2, lam3 = spec.lam
     g3 = spec.g[2]

@@ -31,11 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidInputError, NumericalFailureError, UnsupportedConfigurationError
+from .errors import (
+    TOL,
+    InvalidInputError,
+    NumericalFailureError,
+    UnsupportedConfigurationError,
+    frozen_array,
+)
 from .generator import DissipativeParams, GeneratorMatrix
 from .states import StokesVector
 
-TRANSVERSE_TOL = 1e-12
 #: switch to the series when (2 Omega t)^2 is below this, i.e. |Omega| t < 1e-4
 _SERIES_Z = 4e-8
 
@@ -48,10 +53,7 @@ class MuellerMatrix:
     t: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"Mueller matrix must be 3x3, got shape {m.shape}")
-        m.setflags(write=False)
+        m = frozen_array(self.matrix, (3, 3), "Mueller matrix must be 3x3")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "t", float(self.t))
 
@@ -106,7 +108,7 @@ def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.n
 
     The mirror flips only b and omega, so both passes share this kernel.
     """
-    if abs(p.c) > TRANSVERSE_TOL or abs(p.beta) > TRANSVERSE_TOL:
+    if abs(p.c) > TOL or abs(p.beta) > TOL:
         raise UnsupportedConfigurationError(
             "closed form requires c = beta = 0 (within 1e-12); use mueller_exact instead"
         )

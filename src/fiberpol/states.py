@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PHYSICALITY_TOL = 1e-12
+from .errors import TOL, InvalidInputError, frozen_array
 
 #: Pauli matrices in the circular basis; PAULI[i - 1] is sigma_i.
 PAULI = np.array(
@@ -71,9 +67,7 @@ class StokesVector:
 
     @classmethod
     def from_array(cls, values) -> "StokesVector":
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (3,):
-            raise InvalidInputError(f"Stokes vector needs 3 components, got shape {arr.shape}")
+        arr = frozen_array(values, (3,), "Stokes vector needs 3 components")
         return cls(arr[0], arr[1], arr[2])
 
     def as_array(self) -> np.ndarray:
@@ -82,9 +76,10 @@ class StokesVector:
     def norm(self) -> float:
         return math.sqrt(self.rho1**2 + self.rho2**2 + self.rho3**2)
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
+    def is_physical(self) -> bool:
+        """True when the squared norm is at most 1 + 1e-12."""
         try:
-            return self.rho1**2 + self.rho2**2 + self.rho3**2 <= 1.0 + tol
+            return self.rho1**2 + self.rho2**2 + self.rho3**2 <= 1.0 + TOL
         except OverflowError:  # a component beyond ~1e154 squares past the float range
             return False
 
@@ -101,27 +96,24 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidInputError(f"density matrix must be 2x2, got shape {m.shape}")
+        m = frozen_array(self.matrix, (2, 2), "density matrix must be 2x2", dtype=complex)
         if (
-            abs(m[0, 1] - np.conj(m[1, 0])) > HERMITICITY_TOL
-            or abs(m[0, 0].imag) > HERMITICITY_TOL
-            or abs(m[1, 1].imag) > HERMITICITY_TOL
+            abs(m[0, 1] - np.conj(m[1, 0])) > TOL
+            or abs(m[0, 0].imag) > TOL
+            or abs(m[1, 1].imag) > TOL
         ):
             raise InvalidInputError("density matrix is not Hermitian within 1e-12")
-        if abs(m[0, 0] + m[1, 1] - 1.0) > TRACE_TOL:
+        if abs(m[0, 0] + m[1, 1] - 1.0) > TOL:
             raise InvalidInputError("density matrix trace differs from 1 beyond 1e-12")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def eigenvalues(self) -> np.ndarray:
         """Both eigenvalues, ascending."""
         return np.linalg.eigvalsh(self.matrix)
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        """True when both eigenvalues are >= -tol."""
-        return bool(self.eigenvalues()[0] >= -tol)
+    def is_physical(self) -> bool:
+        """True when both eigenvalues are >= -1e-12."""
+        return bool(self.eigenvalues()[0] >= -TOL)
 
 
 def stokes_from_angles(angles: PureStateAngles) -> StokesVector:

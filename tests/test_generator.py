@@ -158,8 +158,3 @@ def test_lindblad_rejects_bad_omega():
     with pytest.raises(InvalidInputError, match="3 components"):
         lindblad_apply(k, (1.0, 0.0), d)
 
-
-def test_is_cp_tol_validation():
-    p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
-    with pytest.raises(InvalidInputError, match="non-negative"):
-        is_completely_positive(p, tol=-1.0)

@@ -198,14 +198,6 @@ def test_report_strong_coupling_flags_breakdown():
     assert report.frac_above_3 > 0.0
 
 
-def test_report_n_samples_validation():
-    spec = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0))
-    fp = FreePrecession(omega0=1.0)
-    cfg = TrajectoryConfig(dt=0.01, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
-    with pytest.raises(InvalidInputError, match="n_samples"):
-        mc_vs_master_report(spec, fp, cfg, n_samples=0)
-
-
 def test_double_pass_zero_noise_returns_initial():
     spec = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0))
     fp = FreePrecession(omega0=1.3)

@@ -5,11 +5,14 @@ Each site is probed just inside and just outside its band: an offset of
 1e-10 complete-positivity verdict and 5e-10 must fail it.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import fiberpol
 from fiberpol import (
     DensityMatrix,
     DissipativeParams,
@@ -120,3 +123,15 @@ def test_cp_verdicts_allow_1e_10(site):
     assert site(0.0)
     assert site(5e-11)
     assert not site(5e-10)
+
+
+def test_tolerance_literals_live_only_in_errors():
+    package = Path(fiberpol.__file__).parent
+    stray = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and node.value in (1e-12, 1e-10)
+    ]
+    assert stray == []
