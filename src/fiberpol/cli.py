@@ -333,18 +333,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _csv_cell(value) -> str:
+    """Empty for a missing value, a bare number for a float, JSON text otherwise."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    return _json_value(value)
 
 
 def _json_value(value) -> str:
@@ -426,23 +420,22 @@ def _mode_mueller(cfg: RunConfig):
 
 def _mode_cp_check(cfg: RunConfig):
     params, _ = _generator_pieces(cfg)
-    res = cp_inequalities(params)
-    min_eig = float(np.linalg.eigvalsh(kossakowski_from_params(params).matrix)[0])
-    noise_residual = None
+    residuals = cp_inequalities(params)._asdict()
+    noise_residual = unsupported = None
     if cfg.noise is not None:
         try:
             noise_residual = noise_cp_condition(cfg.noise, cfg.precession)
         except UnsupportedConfigurationError as exc:
-            _diagnostic("warning", "no-noise-residual", str(exc))
+            unsupported = str(exc)
+    # checked before eigvalsh, which does not converge on a non-finite matrix
+    checked = [*residuals.values(), *([] if noise_residual is None else [noise_residual])]
+    if not np.isfinite(checked).all():
+        raise NumericalFailureError("complete-positivity residuals are not finite")
+    if unsupported is not None:
+        _diagnostic("warning", "no-noise-residual", unsupported)
     row = {
-        "two_r": res.two_r,
-        "two_s": res.two_s,
-        "two_t": res.two_t,
-        "rs_minus_b2": res.rs_minus_b2,
-        "rt_minus_c2": res.rt_minus_c2,
-        "st_minus_beta2": res.st_minus_beta2,
-        "det": res.det,
-        "min_eig": min_eig,
+        **residuals,
+        "min_eig": float(np.linalg.eigvalsh(kossakowski_from_params(params).matrix)[0]),
         "completely_positive": is_completely_positive(params),
         "noise_residual": noise_residual,
     }
@@ -490,7 +483,7 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration and write its output table."""
     # results are checked for overflow and nan, which raise NumericalFailureError
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         columns, rows, extras = _HANDLERS[cfg.mode](cfg)
     metadata = {
         "mode": cfg.mode,
@@ -550,6 +543,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailureError as exc:
         _diagnostic("error", "numerical-failure", str(exc))
+        return 3
+    except OverflowError:  # Python float arithmetic past the float range
+        _diagnostic("error", "numerical-failure", "a result overflows the float range")
         return 3
 
 

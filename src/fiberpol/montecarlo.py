@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, InvalidInputError, frozen_array
+from .errors import TOL, InvalidInputError, NumericalFailureError, frozen_array
 from .generator import build_generator, params_from_kossakowski
 from .noise import (
     FreePrecession,
@@ -355,12 +355,12 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajec
         count = total
     n = cfg.n_traj
     rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
-    return EnsembleTrajectory(
-        times=np.arange(rows) * cfg.dt,
-        mean_stokes=mean,
-        stderr=np.sqrt(m2 / (n - 1) / n),
-        n_traj=n,
-    )
+    times = np.arange(rows) * cfg.dt
+    stderr = np.sqrt(m2 / (n - 1) / n)
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(f"ensemble moments are not finite at t = {times[finite.argmin()]}")
+    return EnsembleTrajectory(times=times, mean_stokes=mean, stderr=stderr, n_traj=n)
 
 
 def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,

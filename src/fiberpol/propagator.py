@@ -114,8 +114,8 @@ def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.n
         )
     if t < 0.0:
         raise InvalidInputError("evolution time must be non-negative")
-    omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2
     try:
+        omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2
         damped_cos, damped_sinc = _damped_trig(p.a + p.alpha, omega_sq, t)
         m33 = math.exp(-2.0 * p.gamma * t)
     except (OverflowError, ValueError) as exc:  # exp past the float range, cos or sin of inf

@@ -2,9 +2,11 @@
 
 import copy
 import hashlib
+import io
 import json
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -536,6 +538,41 @@ def test_non_finite_results_exit_3(tmp_path, capsys, cfg):
     assert f"t = {cfg['times'][-1]}" in diag["message"]
 
 
+def _all(value):
+    return {k: value for k in ("a", "b", "c", "alpha", "beta", "gamma")}
+
+
+def _noise(g, lam, omega0, mean=(0.0, 0.0, 0.0)):
+    return {"noise": {"g": g, "lam": lam, "mean": list(mean)}, "precession": {"omega0": omega0}}
+
+
+# Inputs at the edge of the float range: each overflowed, wrote nan, ended
+# in a LinAlgError or printed a raw numpy warning before exiting.
+@pytest.mark.parametrize("cfg", [
+    {"mode": "cp-check", "params": dict(_all(1e300), omega=1.0)},
+    {"mode": "cp-check", "params": dict(_all(1e120), omega=1.0)},
+    {"mode": "evolve", **_noise([1, 1, 1], [1, 1, 1], 1e200), "times": [0.5]},
+    {"mode": "cp-check", **_noise([1, 1, 1], [1, 1, 1], 1e200)},
+    {"mode": "experiment", **_noise([1, 1, 1], [1, 1, 1], 1e200), "times": [0.5]},
+    {"mode": "experiment", "params": dict(_all(0.0), b=1e307, omega=1.7e308), "times": [0.5]},
+    {"mode": "cp-check", **_noise([1, 0, 1e155], [1e200, 1e155, 1e154], 0.0)},
+    {"mode": "cp-check", **_noise([1e154, 0, 1.7e308], [1e200, 1e200, 1], 1e-300)},
+    {"mode": "mueller", **_noise([1e154, 1e154, 1], [1, 1e-300, 1e154], 0.0), "times": [0.5]},
+    {"mode": "montecarlo", **_noise([0, 0, 0], [1, 1, 1], 0.0, mean=(1e200, 0, 0)),
+     "trajectory": {"dt": 0.01, "n_steps": 3, "n_traj": 100, "seed": 1}},
+], ids=["cp-1e300", "cp-1e120", "evolve-omega0", "cp-omega0", "experiment-omega0",
+        "experiment-b-omega", "cp-noise-residual", "cp-eigvalsh", "mueller-divide",
+        "montecarlo-mean"])
+def test_float_range_edges_exit_3(tmp_path, capsys, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert code == 3
+    assert out == ""
+    (diag,) = diagnostics(err)
+    assert diag["code"] == "numerical-failure"
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     target = str(tmp_path / "absent" / "x.csv")
     cfg = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1]}
@@ -690,3 +727,51 @@ def test_parse_config_fails_only_with_typed_errors(obj):
         except (ConfigError, InvalidInputError, UnsupportedConfigurationError):
             return
     assert isinstance(cfg, RunConfig)
+
+
+# Whole runs of main on values at the edges of the float range: every run
+# ends in finite output or one typed diagnostic.  compare is left out: its
+# z is documented to be +-inf where the two sides differ at zero stderr.
+EDGES = [0.0, 1.0, 1e-300, 1e100, 1e154, 1e155, 1e200, 1e307, 1.7e308]
+EDGE = st.sampled_from(EDGES + [-v for v in EDGES[1:]])
+EDGE3 = st.lists(EDGE, min_size=3, max_size=3)
+TIMES = st.lists(st.sampled_from(EDGES), min_size=1, max_size=3, unique=True).map(sorted)
+
+
+@st.composite
+def edge_runs(draw):
+    mode = draw(st.sampled_from(["evolve", "mueller", "cp-check", "experiment", "montecarlo"]))
+    obj = {"mode": mode}
+    if mode == "montecarlo" or draw(st.booleans()):
+        obj["noise"] = {"g": draw(EDGE3), "lam": draw(EDGE3), "mean": draw(EDGE3)}
+        obj["precession"] = {"omega0": draw(EDGE),
+                             "n": draw(st.sampled_from([[0, 0, 1], [1, 0, 0], [0.6, 0, 0.8]]))}
+    else:
+        obj["params"] = {k: draw(EDGE) for k in ("a", "b", "c", "alpha", "beta", "gamma")}
+        obj["params"]["omega"] = draw(EDGE | EDGE3)
+    if mode == "montecarlo":
+        obj["trajectory"] = {"dt": draw(EDGE), "n_steps": draw(st.integers(1, 5)), "n_traj": 100,
+                             "seed": draw(st.integers(0, 9)), "double_pass": draw(st.booleans())}
+    elif mode != "cp-check":
+        obj["times"] = draw(TIMES)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=edge_runs())
+def test_runs_end_in_finite_output_or_one_diagnostic(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "edge.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["--config", str(path)])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert all(isinstance(json.loads(line), dict) for line in lines)
+    if code == 3:
+        assert len(lines) == 1
+    if code == 0:
+        _, _, rows = csv_parts(out.getvalue())
+        cells = [cell for row in rows for cell in row if cell not in ("", "true", "false")]
+        assert all(math.isfinite(float(cell)) for cell in cells)
