@@ -359,7 +359,8 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajec
     stderr = np.sqrt(m2 / (n - 1) / n)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)
     if not finite.all():
-        raise NumericalFailureError(f"ensemble moments are not finite at t = {times[finite.argmin()]}")
+        t = times[finite.argmin()]
+        raise NumericalFailureError(f"ensemble moments are not finite at t = {t}")
     return EnsembleTrajectory(times=times, mean_stokes=mean, stderr=stderr, n_traj=n)
 
 
@@ -413,9 +414,10 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     """Compare ensemble means against the averaged (master-equation) solution.
 
     The comparison uses 20 evenly spread steps, the first and the last
-    included (fewer when n_steps < 19).  The reference path goes through the damping matrix, the effective
-    precession vector and the exact matrix exponential; no closed-form
-    shortcut is shared with the simulation.  z-scores are 0 wherever the
+    included (fewer when n_steps < 19).  The reference path goes through
+    the damping matrix, the effective precession vector and the exact
+    matrix exponential; no closed-form shortcut is shared with the
+    simulation.  z-scores are 0 wherever the
     two sides agree within 1e-9 absolutely (covers deterministic limits
     with zero variance), infinite where they disagree at zero standard
     error, and (mc - master) / stderr elsewhere.  In strong coupling the

@@ -118,7 +118,7 @@ def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.n
         omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2
         damped_cos, damped_sinc = _damped_trig(p.a + p.alpha, omega_sq, t)
         m33 = math.exp(-2.0 * p.gamma * t)
-    except (OverflowError, ValueError) as exc:  # exp past the float range, cos or sin of inf
+    except (OverflowError, ValueError) as exc:  # a square or exp overflows, cos/sin of inf
         raise NumericalFailureError(f"closed-form propagator is not finite at t = {t}") from exc
     half_diff = 0.5 * (p.alpha - p.a)
     return np.array(
