@@ -71,6 +71,7 @@ from .generator import (
 )
 from .montecarlo import (
     TrajectoryConfig,
+    _available_cpus,
     ensemble_average,
     mc_double_pass,
     mc_vs_master_report,
@@ -459,12 +460,13 @@ def _mode_experiment(cfg: RunConfig):
 
 def _mode_montecarlo(cfg: RunConfig):
     runner = mc_double_pass if cfg.round_trip else ensemble_average
-    ens = runner(cfg.noise, cfg.precession, cfg.trajectory)
+    ens = runner(cfg.noise, cfg.precession, cfg.trajectory, n_workers=_available_cpus())
     return _table(ens.times, mean=ens.mean_stokes, stderr=ens.stderr)
 
 
 def _mode_compare(cfg: RunConfig):
-    report = mc_vs_master_report(cfg.noise, cfg.precession, cfg.trajectory)
+    report = mc_vs_master_report(cfg.noise, cfg.precession, cfg.trajectory,
+                                 n_workers=_available_cpus())
     columns, rows, _ = _table(report.times, mc=report.mc_mean, stderr=report.mc_stderr,
                               master=report.master, z=report.z)
     return columns, rows, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}

@@ -26,11 +26,19 @@ limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
 _GROUP_BLOCKS blocks is advanced side by side in component-major
-(3, width) arrays.  Groups run in order; n_workers is accepted and does
-not change results.  Every step applies the same elementwise operations
+(3, width) arrays.  Every step applies the same elementwise operations
 in the same order whatever the width, so the states, and hence the
 moments, carry the same bits as a block-at-a-time or
 one-trajectory-at-a-time run.
+
+The blocks are cut into min(n_workers, CPUs, blocks) contiguous shares of
+near-equal size, CPUs being those in the process's affinity mask.  The
+calling process computes the first share, one forked process computes
+each of the others and sends its block moments back over a pipe, and the
+parent merges every block in block order, so the worker count does not
+change the bits.  Without fork, or with one share, the groups run in
+order in the calling process.  Moments are kept for the rows a caller
+asks for, so the per-block work after propagation scales with those rows.
 
 Draw order per trajectory and segment: n_steps + 1 rows of three
 standard normals; row 0 initializes F from its stationary law
@@ -47,6 +55,8 @@ time far exceeds the noise correlation time.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +84,12 @@ Z_ABS_TOL = 1e-9
 STABILITY_LIMIT = 0.05
 #: time points, evenly spread, at which mc_vs_master_report compares
 _REPORT_ROWS = 20
+#: trajectory-steps (n_traj * n_steps, doubled for a round trip) a run may
+#: take: about 20 minutes on two cores
+_MAX_TRAJ_STEPS = 10**10
+#: bytes of float64 block moments (mean and squared deviations of every
+#: kept row in every block) a run may hold
+_MAX_MOMENT_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -278,13 +294,14 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-                   j0: int, j1: int, round_trip: bool):
+                   j0: int, j1: int, round_trip: bool, keep: np.ndarray):
     """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
 
+    Moments are kept for the rows in keep, an increasing index array.
     Each block accumulates its running mean and squared deviations in
     trajectory order, vectorised across the group's blocks and across
-    the rows of each chunk; an ensemble of identical trajectories yields
-    squared deviations of exactly zero, with no cancellation.
+    the kept rows of each chunk; an ensemble of identical trajectories
+    yields squared deviations of exactly zero, with no cancellation.
     """
     full, tail = divmod(j1 - j0, _BLOCK)
     nb = full + (tail > 0)
@@ -292,9 +309,8 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     # filling, then trajectory k + 1; only the last block can be short
     order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
              if b * _BLOCK + k < j1 - j0]
-    rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
     # block index last, so every update below is one contiguous sweep
-    mean = np.empty((rows, 3, nb))
+    mean = np.empty((len(keep), 3, nb))
     m2 = np.empty_like(mean)
     span = min(_CHUNK, cfg.n_steps) + 1
     # by_traj[k, ..., b] is trajectory k of block b
@@ -302,15 +318,20 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     delta, tmp = np.empty((2, span, 3, nb))
 
     def consume(row, states):
-        c = states.shape[0]
+        lo, hi = np.searchsorted(keep, (row, row + states.shape[0]))
+        c = hi - lo
+        if c == 0:
+            return
+        if c < states.shape[0]:
+            states = states[keep[lo:hi] - row]
         x = by_traj[:, :c]
         split = tail * nb
         x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
         x[tail:, ..., :full] = (
             states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
         )
-        m = mean[row:row + c]
-        s = m2[row:row + c]
+        m = mean[lo:hi]
+        s = m2[lo:hi]
         m[...] = x[0]
         s[...] = 0.0
         d, t = delta[:c], tmp[:c]
@@ -333,16 +354,107 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
 
 
-def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajectory:
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _share_moments(spec, fp, cfg, round_trip, keep, b0, b1):
+    """Block moments of blocks [b0, b1), computed _GROUP_BLOCKS blocks at a time."""
+    return [
+        part
+        for g0 in range(b0, b1, _GROUP_BLOCKS)
+        for part in _group_moments(spec, fp, cfg, g0 * _BLOCK,
+                                   min(min(g0 + _GROUP_BLOCKS, b1) * _BLOCK, cfg.n_traj),
+                                   round_trip, keep)
+    ]
+
+
+def _child_moments(sender, *share):
+    """A forked worker: send the share's block moments, or a typed error."""
+    try:
+        result = _share_moments(*share)
+    except Exception as exc:  # the parent raises it
+        result = NumericalFailureError(f"an ensemble worker failed: {type(exc).__name__}: {exc}")
+    sender.send(result)
+
+
+def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
+    """Block moments of every share: share 0 here, each other one in a forked child.
+
+    Every child is joined before this returns or raises, and terminated
+    first if the call is failing.
+    """
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for b0, b1 in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_moments, daemon=True,
+                                args=(sender, spec, fp, cfg, round_trip, keep, b0, b1))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        parts = _share_moments(spec, fp, cfg, round_trip, keep, bounds[0], bounds[1])
+        for child, receiver in children:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise NumericalFailureError(
+                    f"an ensemble worker ended without a result (exit code {child.exitcode})"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            parts += result
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return parts
+
+
+def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> EnsembleTrajectory:
     cfg.check_resolution(spec, fp)
     if n_workers < 1:
         raise InvalidInputError("n_workers must be at least 1")
-    width = _GROUP_BLOCKS * _BLOCK
-    parts = [
-        part
-        for j0 in range(0, cfg.n_traj, width)
-        for part in _group_moments(spec, fp, cfg, j0, min(j0 + width, cfg.n_traj), round_trip)
-    ]
+    n_rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
+    if cfg.n_traj * (n_rows - 1) > _MAX_TRAJ_STEPS:
+        raise InvalidInputError(
+            f"n_traj * n_steps (doubled for a round trip) = {cfg.n_traj * (n_rows - 1)} "
+            f"exceeds {_MAX_TRAJ_STEPS}"
+        )
+    if rows is not None:
+        keep = np.asarray(rows)
+        if (keep.ndim != 1 or not keep.size or keep.dtype.kind not in "iu"
+                or keep[0] < 0 or keep[-1] >= n_rows or np.any(np.diff(keep) <= 0)):
+            raise InvalidInputError(
+                f"rows must be increasing step indices in [0, {n_rows}), without repeats"
+            )
+    n_blocks = math.ceil(cfg.n_traj / _BLOCK)
+    moment_bytes = (n_rows if rows is None else keep.size) * 3 * 8 * 2 * n_blocks
+    if moment_bytes > _MAX_MOMENT_BYTES:
+        raise InvalidInputError(
+            f"block moments would take {moment_bytes} bytes, more than {_MAX_MOMENT_BYTES}; "
+            "use fewer steps or trajectories"
+        )
+    if rows is None:
+        keep = np.arange(n_rows)
+
+    # contiguous shares of near-equal block counts, one per process
+    k = min(n_workers, _available_cpus(), n_blocks)
+    bounds = [n_blocks * i // k for i in range(k + 1)]
+    if k > 1 and "fork" in multiprocessing.get_all_start_methods():
+        parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
+    else:
+        parts = _share_moments(spec, fp, cfg, round_trip, keep, 0, n_blocks)
 
     # merge block moments in block order: identical blocks merge with
     # delta exactly zero
@@ -354,8 +466,7 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int) -> EnsembleTrajec
         m2 = m2 + b_m2 + delta**2 * (count * b_count / total)
         count = total
     n = cfg.n_traj
-    rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
-    times = np.arange(rows) * cfg.dt
+    times = keep * cfg.dt
     stderr = np.sqrt(m2 / (n - 1) / n)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)
     if not finite.all():
@@ -385,13 +496,16 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
 
 
 def ensemble_average(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-                     n_workers: int = 1) -> EnsembleTrajectory:
+                     n_workers: int = 1, *, rows=None) -> EnsembleTrajectory:
     """Ensemble mean and standard error of the Stokes vector over n_traj runs.
 
-    n_workers must be at least 1; groups run in order whatever its value,
-    so it does not change results.
+    n_workers must be at least 1.  Up to min(n_workers, CPUs, blocks)
+    processes share the blocks, the extra ones forked, and the results
+    carry the same bits for every value.  rows, increasing step indices,
+    restricts the returned rows (and their times) to those steps; None
+    keeps all n_steps + 1.
     """
-    return _ensemble(spec, fp, cfg, round_trip=False, n_workers=n_workers)
+    return _ensemble(spec, fp, cfg, round_trip=False, n_workers=n_workers, rows=rows)
 
 
 def mc_double_pass(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
@@ -403,7 +517,9 @@ def mc_double_pass(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     to precession about axis 3 with zero-mean noise, matching the
     closed-form return-pass treatment it is checked against.  The row at
     index n_steps is the state at the mirror, so a single run also
-    contains the one-way ensemble.
+    contains the one-way ensemble.  n_workers works as in
+    ensemble_average: up to min(n_workers, CPUs, blocks) processes, with
+    the same bits for every value.
     """
     _require_axis3_zero_mean(spec, fp, "a round trip")
     return _ensemble(spec, fp, cfg, round_trip=True, n_workers=n_workers)
@@ -422,17 +538,19 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     with zero variance), infinite where they disagree at zero standard
     error, and (mc - master) / stderr elsewhere.  In strong coupling the
     report simply shows large z: flagging the breakdown of the averaged
-    description is an intended mode of use, not a failure.
+    description is an intended mode of use, not a failure.  The ensemble
+    keeps moments for the compared steps only; n_workers works as in
+    ensemble_average and does not change the bits.
     """
-    ens = ensemble_average(spec, fp, cfg, n_workers=n_workers)
     idx = np.unique(np.round(np.linspace(0, cfg.n_steps, _REPORT_ROWS)).astype(int))
+    ens = ensemble_average(spec, fp, cfg, n_workers=n_workers, rows=idx)
     params = params_from_kossakowski(c_matrix_closed(spec, fp).symmetric_part())
     omega_vec = effective_hamiltonian(spec, fp)
     gen = build_generator(params, omega_vec)
     s0 = cfg.initial.as_array()
-    master = np.stack([mueller_exact(gen, t).matrix @ s0 for t in ens.times[idx]])
-    mc = ens.mean_stokes[idx]
-    err = ens.stderr[idx]
+    master = np.stack([mueller_exact(gen, t).matrix @ s0 for t in ens.times])
+    mc = ens.mean_stokes
+    err = ens.stderr
     diff = mc - master
     z = np.zeros_like(diff)
     exact = np.abs(diff) <= Z_ABS_TOL
@@ -441,7 +559,7 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     blown = ~exact & (err <= 0.0)
     z[blown] = np.sign(diff[blown]) * np.inf
     return MCComparisonReport(
-        times=ens.times[idx],
+        times=ens.times,
         mc_mean=mc,
         mc_stderr=err,
         master=master,

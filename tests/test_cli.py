@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -405,6 +408,47 @@ def test_montecarlo_requires_trajectory(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
     assert code == 2
     assert "requires a trajectory block" in diagnostics(err)[0]["message"]
+
+
+def test_montecarlo_work_cap_exits_2(tmp_path, capsys):
+    cfg = {
+        "mode": "montecarlo",
+        "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 10_000_000_000, "n_traj": 100, "seed": 5},
+    }
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert out == ""
+    (record,) = diagnostics(err)
+    assert record["code"] == "invalid-input"
+    assert "n_traj * n_steps" in record["message"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+def test_compare_stderr_is_empty_with_default_thread_settings(tmp_path):
+    # numpy's BLAS threads are left to start, so the CLI forks from a
+    # multi-threaded process; pinned to one CPU, it runs the serial loop
+    cfg = {
+        "mode": "compare",
+        "noise": {"g": [0.001, 0.002, 0.001], "lam": [2, 2, 2]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 40, "n_traj": 700, "seed": 8},
+    }
+    argv = [sys.executable, "-m", "fiberpol.cli", "--config", write_config(tmp_path, cfg)]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    one_cpu = min(os.sched_getaffinity(0))
+    runs = [
+        subprocess.run(argv, env=env, capture_output=True, timeout=120, preexec_fn=pin)
+        for pin in (None, lambda: os.sched_setaffinity(0, {one_cpu}))
+    ]
+    for run in runs:
+        assert run.returncode == 0
+        assert run.stderr == b""
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_compare_smoke_and_metadata(tmp_path, capsys):

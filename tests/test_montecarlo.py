@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberpol import montecarlo
@@ -13,6 +15,7 @@ from fiberpol import (
     FreePrecession,
     InvalidInputError,
     NoiseSpec,
+    NumericalFailureError,
     StokesVector,
     TrajectoryConfig,
     UnsupportedConfigurationError,
@@ -278,6 +281,108 @@ def test_workers_validation():
         ensemble_average(spec, fp, cfg, n_workers=0)
 
 
+# Process-split tests fake the affinity mask with at most as many CPUs as
+# the host has, so no test starts more processes than there are CPUs.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_two_cpus = pytest.mark.skipif(CPUS < 2 or not CAN_FORK,
+                                    reason="the process split needs fork and two CPUs")
+SPLIT_SPEC = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
+SPLIT_FP = FreePrecession(omega0=1.0)
+# 600 trajectories: three blocks, so up to three shares
+SPLIT_CFG = TrajectoryConfig(dt=0.01, n_steps=30, n_traj=600, seed=41,
+                             initial=StokesVector(0.3, -0.5, 0.6))
+
+
+def _count_starts(mp):
+    """Spy on every process start; the returned list grows by one per start."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(process):
+        starts.append(process)
+        return start(process)
+
+    mp.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    return starts
+
+
+def _fake_cpus(mp, n):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_one_cpu_starts_no_child(monkeypatch):
+    starts = _count_starts(monkeypatch)
+    _fake_cpus(monkeypatch, 1)
+    serial = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=3)
+    assert starts == []
+    monkeypatch.undo()
+    assert np.array_equal(serial.mean_stokes,
+                          ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG).mean_stokes)
+
+
+@needs_two_cpus
+def test_worker_count_is_capped_by_the_cpus(monkeypatch):
+    starts = _count_starts(monkeypatch)
+    _fake_cpus(monkeypatch, 2)
+    split = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=10**6)
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+    serial = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+    assert np.array_equal(split.mean_stokes, serial.mean_stokes)
+    assert np.array_equal(split.stderr, serial.stderr)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_no_process_outlives_a_failed_call(monkeypatch, failing):
+    group_moments = montecarlo._group_moments
+
+    def flaky(spec, fp, cfg, j0, *args):
+        # the parent computes the first share, which starts at trajectory 0
+        if (j0 > 0) == (failing == "child"):
+            raise RuntimeError("injected failure")
+        return group_moments(spec, fp, cfg, j0, *args)
+
+    monkeypatch.setattr(montecarlo, "_group_moments", flaky)
+    _fake_cpus(monkeypatch, 2)
+    expected = NumericalFailureError if failing == "child" else RuntimeError
+    with pytest.raises(expected, match="injected failure"):
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_work_caps():
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=10**10, n_traj=100, seed=1,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    with pytest.raises(InvalidInputError, match=r"n_traj \* n_steps"):
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        # 600 trajectories are three blocks; 31 rows of 3 components, two moments
+        mp.setattr(montecarlo, "_MAX_MOMENT_BYTES", 31 * 3 * 8 * 2 * 3 - 1)
+        with pytest.raises(InvalidInputError, match="block moments"):
+            ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+        # the cap counts kept rows only
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=[0, 30])
+        # a round trip takes twice the steps of the one-way run
+        mp.setattr(montecarlo, "_MAX_TRAJ_STEPS", 600 * 60 - 1)
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=[0])
+        with pytest.raises(InvalidInputError, match="doubled for a round trip"):
+            mc_double_pass(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+
+
+def test_kept_rows_match_the_full_run():
+    full = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+    rows = [0, 1, 7, 29, 30]
+    kept = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=rows)
+    assert np.array_equal(kept.times, full.times[rows])
+    assert np.array_equal(kept.mean_stokes, full.mean_stokes[rows])
+    assert np.array_equal(kept.stderr, full.stderr[rows])
+    for bad in ([], [3, 3], [5, 2], [0, 31], [-1, 2], [0.0, 1.0], [[0, 1]]):
+        with pytest.raises(InvalidInputError, match="rows must be increasing"):
+            ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=bad)
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for arr in arrays:
@@ -352,6 +457,11 @@ SPLIT_CASES = {
 
 
 @settings(max_examples=12, deadline=None)
+# two workers over three blocks: the fork path, whatever hypothesis draws
+@example(n_traj=700, n_steps=9, n_workers=2, group_blocks=1, chunk=4, case="axis3",
+         round_trip=True, seed=3)
+@example(n_traj=513, n_steps=5, n_workers=3, group_blocks=3, chunk=9, case="off-axis-biased",
+         round_trip=False, seed=2**64 - 1)
 @given(
     n_traj=st.integers(100, 700),
     n_steps=st.integers(1, 70),
@@ -376,8 +486,14 @@ def test_moments_do_not_depend_on_split(n_traj, n_steps, n_workers, group_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_GROUP_BLOCKS", group_blocks)
         mp.setattr(montecarlo, "_CHUNK", chunk)
+        starts = _count_starts(mp)
         split = runner(spec, fp, cfg, n_workers=n_workers)
         stack = np.stack([evolve_trajectory(spec, fp, cfg, j) for j in range(n_traj)])
+
+    # every process beyond the caller is one forked child
+    processes = min(n_workers, CPUS, math.ceil(n_traj / montecarlo._BLOCK))
+    assert len(starts) == (processes - 1 if CAN_FORK else 0)
+    assert multiprocessing.active_children() == []
 
     assert np.array_equal(split.mean_stokes, reference.mean_stokes)
     assert np.array_equal(split.stderr, reference.stderr)
