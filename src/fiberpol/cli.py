@@ -28,7 +28,9 @@ need a generator (evolve, mueller, cp-check, experiment) take exactly
 one of "noise"+"precession" or "params"; the stochastic modes
 (montecarlo, compare) take "noise"+"precession"+"trajectory" and no
 explicit params.  Command-line flags override the corresponding config
-fields before the config is validated.
+fields before the config is validated.  The stochastic modes split their
+trajectories over every CPU in the process's affinity mask; the output
+bytes do not depend on the count.
 
 Output contract: the first CSV line is a "# metadata: {...}" record
 (config digest, package version, seed), then a header row, then data

@@ -388,12 +388,16 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
     Every child is joined before this returns or raises, and terminated
     first if the call is failing.
     """
+    # fork, not spawn: a spawned child re-imports numpy and scipy, about
+    # 0.4 s, most of what it would save.  A child runs numpy ufuncs and
+    # Philox draws only, never BLAS, whose thread pool is the only other
+    # thread the parent may have.
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for b0, b1 in zip(bounds[1:-1], bounds[2:]):
             receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_moments, daemon=True,
+            child = ctx.Process(target=_child_moments,
                                 args=(sender, spec, fp, cfg, round_trip, keep, b0, b1))
             child.start()
             sender.close()
