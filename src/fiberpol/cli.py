@@ -69,7 +69,6 @@ from .generator import (
     cp_inequalities,
     is_completely_positive,
     kossakowski_from_params,
-    params_from_kossakowski,
 )
 from .montecarlo import (
     TrajectoryConfig,
@@ -78,13 +77,7 @@ from .montecarlo import (
     mc_double_pass,
     mc_vs_master_report,
 )
-from .noise import (
-    FreePrecession,
-    NoiseSpec,
-    c_matrix_closed,
-    effective_hamiltonian,
-    noise_cp_condition,
-)
+from .noise import FreePrecession, NoiseSpec, _averaged_dynamics, noise_cp_condition
 from .propagator import mueller_exact
 from .states import StokesVector
 
@@ -92,7 +85,8 @@ MODES = ("evolve", "mueller", "cp-check", "experiment", "montecarlo", "compare")
 _GENERATOR_MODES = ("evolve", "mueller", "cp-check", "experiment")
 _STOCHASTIC_MODES = ("montecarlo", "compare")
 _TIMED_MODES = ("evolve", "mueller", "experiment")
-#: a {start, stop, count} grid is expanded in memory before anything runs
+#: output rows a run may build: a {start, stop, count} grid is expanded in
+#: memory before anything runs, and montecarlo writes one row per step
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -304,6 +298,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"trajectory: {exc}") from exc
     if mode in _STOCHASTIC_MODES and trajectory is None:
         raise ConfigError(f"mode {mode!r} requires a trajectory block")
+    if mode == "montecarlo":
+        n_rows = (2 if round_trip else 1) * trajectory.n_steps + 1
+        if n_rows > _MAX_GRID_POINTS:
+            raise ConfigError(f"trajectory: montecarlo would write {n_rows} rows, "
+                              f"more than {_MAX_GRID_POINTS}; use fewer steps")
 
     digested = {name: dict(sorted(value.items())) if isinstance(value, dict) else value
                 for name, value in sorted({"mode": mode, **blocks}.items())}
@@ -396,8 +395,7 @@ def _generator_pieces(cfg: RunConfig):
     """(params, omega 3-vector) from whichever route the config supplies."""
     if cfg.params is not None:
         return cfg.params, np.array(cfg.params_omega)
-    params = params_from_kossakowski(c_matrix_closed(cfg.noise, cfg.precession).symmetric_part())
-    return params, effective_hamiltonian(cfg.noise, cfg.precession)
+    return _averaged_dynamics(cfg.noise, cfg.precession)
 
 
 def _table(times, **stems):

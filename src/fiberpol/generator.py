@@ -91,11 +91,15 @@ class CPResiduals(NamedTuple):
     det: float
 
 
+def _rst(p: DissipativeParams) -> tuple[float, float, float]:
+    """The half-sums R, S, T on the diagonal of the Kossakowski matrix."""
+    return (0.5 * (p.alpha + p.gamma - p.a), 0.5 * (p.a + p.gamma - p.alpha),
+            0.5 * (p.a + p.alpha - p.gamma))
+
+
 def kossakowski_from_params(p: DissipativeParams) -> KossakowskiMatrix:
     """Kossakowski matrix of a parameter set."""
-    r = 0.5 * (p.alpha + p.gamma - p.a)
-    s = 0.5 * (p.a + p.gamma - p.alpha)
-    t = 0.5 * (p.a + p.alpha - p.gamma)
+    r, s, t = _rst(p)
     return KossakowskiMatrix(
         np.array(
             [
@@ -149,9 +153,7 @@ def cp_inequalities(p: DissipativeParams) -> CPResiduals:
     RST - 2 b c beta - R beta^2 - S c^2 - T b^2.  The evolution is
     completely positive exactly when all seven are non-negative.
     """
-    r = 0.5 * (p.alpha + p.gamma - p.a)
-    s = 0.5 * (p.a + p.gamma - p.alpha)
-    t = 0.5 * (p.a + p.alpha - p.gamma)
+    r, s, t = _rst(p)
     return CPResiduals(
         two_r=2.0 * r,
         two_s=2.0 * s,

@@ -25,18 +25,19 @@ ensemble of identical trajectories at exactly zero, which the zero-noise
 limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
-_GROUP_BLOCKS blocks is advanced side by side in component-major
-(3, width) arrays.  Every step applies the same elementwise operations
-in the same order whatever the width, so the states, and hence the
-moments, carry the same bits as a block-at-a-time or
-one-trajectory-at-a-time run.
+up to _GROUP_BLOCKS whole blocks is advanced side by side in
+component-major (3, width) arrays, and the short last block that
+n_traj % _BLOCK != 0 leaves runs alone as a group of its own.  Every
+step applies the same elementwise operations in the same order whatever
+the width, so the states, and hence the moments, carry the same bits as
+a block-at-a-time or one-trajectory-at-a-time run.
 
 The blocks are cut into min(n_workers, CPUs, blocks) contiguous shares of
 near-equal size, CPUs being those in the process's affinity mask.  The
 calling process computes the first share, one forked process computes
 each of the others and sends its block moments back over a pipe, and the
 parent merges every block in block order, so the worker count does not
-change the bits.  Without fork, or with one share, the groups run in
+change the bits.  Without fork there is one share, and the groups run in
 order in the calling process.  Moments are kept for the rows a caller
 asks for, so the per-block work after propagation scales with those rows.
 
@@ -62,14 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TOL, InvalidInputError, NumericalFailureError, frozen_array
-from .generator import build_generator, params_from_kossakowski
-from .noise import (
-    FreePrecession,
-    NoiseSpec,
-    _require_axis3_zero_mean,
-    c_matrix_closed,
-    effective_hamiltonian,
-)
+from .generator import build_generator
+from .noise import FreePrecession, NoiseSpec, _averaged_dynamics, _require_axis3_zero_mean
 from .propagator import mueller_exact
 from .states import StokesVector
 
@@ -171,6 +166,14 @@ def _ou_coefficients(g, lam, dt):
     return decay, np.sqrt(g * (1.0 - decay**2))
 
 
+def _ou_relax(field, mean, decay, kick):
+    """Relax field in place over one step: ((field - mean) decay + mean) + kick."""
+    field -= mean
+    field *= decay
+    field += mean
+    field += kick
+
+
 def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     """One exact Ornstein-Uhlenbeck update over a step of length dt.
 
@@ -192,7 +195,9 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     if not dt > 0.0:
         raise InvalidInputError("dt must be positive")
     decay, sigma = _ou_coefficients(g, lam, dt)
-    return mean + (f_prev - mean) * decay + sigma * noise
+    field = np.array(np.broadcast_arrays(f_prev, g, lam, noise, mean)[0], dtype=float)
+    _ou_relax(field, mean, decay, sigma * noise)
+    return field[()]  # a scalar for scalar input
 
 
 def _traj_rng(seed: int, index: int) -> np.random.Generator:
@@ -283,10 +288,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 np.multiply(cross, sin_t, out=tmp)
                 out += tmp
                 # exact OU relaxation of F to the next step
-                field -= mean
-                field *= decay
-                field += mean
-                field += kicks[i]
+                _ou_relax(field, mean, decay, kicks[i])
             first = 0 if done == 0 else 1
             consume(done, rec[first:c + 1])
             done += c + 1 - first
@@ -295,26 +297,26 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                    j0: int, j1: int, round_trip: bool, keep: np.ndarray):
-    """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
+    """Welford moments of the equal-size blocks that make up [j0, j1), in block order.
 
-    Moments are kept for the rows in keep, an increasing index array.
-    Each block accumulates its running mean and squared deviations in
-    trajectory order, vectorised across the group's blocks and across
-    the kept rows of each chunk; an ensemble of identical trajectories
-    yields squared deviations of exactly zero, with no cancellation.
+    The group is either whole _BLOCK-trajectory blocks or one short
+    block.  Moments are kept for the rows in keep, an increasing index
+    array.  Each block accumulates its running mean and squared
+    deviations in trajectory order, vectorised across the group's blocks
+    and across the kept rows of each chunk; an ensemble of identical
+    trajectories yields squared deviations of exactly zero, with no
+    cancellation.
     """
-    full, tail = divmod(j1 - j0, _BLOCK)
-    nb = full + (tail > 0)
-    # columns run trajectory-major: trajectory k of every block still
-    # filling, then trajectory k + 1; only the last block can be short
-    order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
-             if b * _BLOCK + k < j1 - j0]
+    nb = -(-(j1 - j0) // _BLOCK)
+    size = (j1 - j0) // nb
+    # columns run trajectory-major: trajectory k of every block, then k + 1
+    order = [j0 + b * size + k for k in range(size) for b in range(nb)]
     # block index last, so every update below is one contiguous sweep
     mean = np.empty((len(keep), 3, nb))
     m2 = np.empty_like(mean)
     span = min(_CHUNK, cfg.n_steps) + 1
     # by_traj[k, ..., b] is trajectory k of block b
-    by_traj = np.empty((_BLOCK, span, 3, nb))
+    by_traj = np.empty((size, span, 3, nb))
     delta, tmp = np.empty((2, span, 3, nb))
 
     def consume(row, states):
@@ -325,22 +327,13 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
         if c < states.shape[0]:
             states = states[keep[lo:hi] - row]
         x = by_traj[:, :c]
-        split = tail * nb
-        x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
-        x[tail:, ..., :full] = (
-            states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
-        )
+        x[...] = states.reshape(c, 3, size, nb).transpose(2, 0, 1, 3)
         m = mean[lo:hi]
         s = m2[lo:hi]
         m[...] = x[0]
         s[...] = 0.0
         d, t = delta[:c], tmp[:c]
-        for k in range(1, _BLOCK):
-            if k == tail:
-                # the short block is complete: carry on with the full ones
-                if not full:
-                    break
-                x, m, s, d, t = (a[..., :full] for a in (x, m, s, d, t))
+        for k in range(1, size):
             xk = x[k]
             np.subtract(xk, m, out=d)
             np.divide(d, k + 1, out=t)
@@ -350,8 +343,7 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
             s += t
 
     _propagate(spec, fp, cfg, order, round_trip, consume)
-    sizes = [_BLOCK] * full + ([tail] if tail else [])
-    return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
+    return [(size, mean[..., b], m2[..., b]) for b in range(nb)]
 
 
 def _available_cpus() -> int:
@@ -363,14 +355,15 @@ def _available_cpus() -> int:
 
 
 def _share_moments(spec, fp, cfg, round_trip, keep, b0, b1):
-    """Block moments of blocks [b0, b1), computed _GROUP_BLOCKS blocks at a time."""
-    return [
-        part
-        for g0 in range(b0, b1, _GROUP_BLOCKS)
-        for part in _group_moments(spec, fp, cfg, g0 * _BLOCK,
-                                   min(min(g0 + _GROUP_BLOCKS, b1) * _BLOCK, cfg.n_traj),
-                                   round_trip, keep)
-    ]
+    """Block moments of blocks [b0, b1), whole blocks _GROUP_BLOCKS at a time.
+
+    The run's short last block, if this share holds it, is a group of its own.
+    """
+    whole = min(b1, cfg.n_traj // _BLOCK) * _BLOCK
+    edges = [*range(b0 * _BLOCK, whole, _GROUP_BLOCKS * _BLOCK), whole,
+             min(b1 * _BLOCK, cfg.n_traj)]
+    return [part for j0, j1 in zip(edges, edges[1:]) if j1 > j0
+            for part in _group_moments(spec, fp, cfg, j0, j1, round_trip, keep)]
 
 
 def _child_moments(sender, *share):
@@ -385,20 +378,19 @@ def _child_moments(sender, *share):
 def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
     """Block moments of every share: share 0 here, each other one in a forked child.
 
-    Every child is joined before this returns or raises, and terminated
-    first if the call is failing.
+    With one share no child starts.  Every child is joined before this
+    returns or raises, and terminated first if the call is failing.
     """
-    # fork, not spawn: a spawned child re-imports numpy and scipy, about
-    # 0.4 s, most of what it would save.  A child runs numpy ufuncs and
-    # Philox draws only, never BLAS, whose thread pool is the only other
-    # thread the parent may have.
-    ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for b0, b1 in zip(bounds[1:-1], bounds[2:]):
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_moments,
-                                args=(sender, spec, fp, cfg, round_trip, keep, b0, b1))
+            # fork, not spawn: a spawned child re-imports numpy and scipy,
+            # about 0.4 s, most of what it would save.  A child runs numpy
+            # ufuncs and Philox draws only, never BLAS, whose thread pool
+            # is the only other thread the parent may have.
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_child_moments, args=(sender, spec, fp, cfg, round_trip, keep, b0, b1))
             child.start()
             sender.close()
             children.append((child, receiver))
@@ -454,11 +446,10 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
 
     # contiguous shares of near-equal block counts, one per process
     k = min(n_workers, _available_cpus(), n_blocks)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        k = 1
     bounds = [n_blocks * i // k for i in range(k + 1)]
-    if k > 1 and "fork" in multiprocessing.get_all_start_methods():
-        parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
-    else:
-        parts = _share_moments(spec, fp, cfg, round_trip, keep, 0, n_blocks)
+    parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
 
     # merge block moments in block order: identical blocks merge with
     # delta exactly zero
@@ -548,9 +539,7 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     """
     idx = np.unique(np.round(np.linspace(0, cfg.n_steps, _REPORT_ROWS)).astype(int))
     ens = ensemble_average(spec, fp, cfg, n_workers=n_workers, rows=idx)
-    params = params_from_kossakowski(c_matrix_closed(spec, fp).symmetric_part())
-    omega_vec = effective_hamiltonian(spec, fp)
-    gen = build_generator(params, omega_vec)
+    gen = build_generator(*_averaged_dynamics(spec, fp))
     s0 = cfg.initial.as_array()
     master = np.stack([mueller_exact(gen, t).matrix @ s0 for t in ens.times])
     mc = ens.mean_stokes

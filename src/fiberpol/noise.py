@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedConfigurationError,
     frozen_array,
 )
-from .generator import DissipativeParams
+from .generator import DissipativeParams, params_from_kossakowski
 
 QUADRATURE_ABS_TOL = 1e-9
 
@@ -230,6 +230,19 @@ def c_matrix_quadrature(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     )
 
 
+def _averaged_dynamics(spec: NoiseSpec, fp: FreePrecession):
+    """(DissipativeParams, omega 3-vector) of the averaged dynamics, from one damping matrix.
+
+    The dissipative parameters come from the symmetric part C + C^T; the
+    precession vector is the one :func:`effective_hamiltonian` documents.
+    """
+    c = c_matrix_closed(spec, fp)
+    m = c.matrix
+    shift = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
+    omega = 0.5 * fp.omega0 * np.array(fp.n) + np.array(spec.mean) + shift
+    return params_from_kossakowski(c.symmetric_part()), omega
+
+
 def effective_hamiltonian(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
     """Effective precession vector omega of the averaged dynamics.
 
@@ -237,15 +250,7 @@ def effective_hamiltonian(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
     mean field <F>, and the noise-induced (Lamb-type) shift
     h_k = eps_ijk C_ij built from the antisymmetric part of C.
     """
-    c = c_matrix_closed(spec, fp).matrix
-    shift = np.array(
-        [
-            c[1, 2] - c[2, 1],
-            c[2, 0] - c[0, 2],
-            c[0, 1] - c[1, 0],
-        ]
-    )
-    return 0.5 * fp.omega0 * np.array(fp.n) + np.array(spec.mean) + shift
+    return _averaged_dynamics(spec, fp)[1]
 
 
 def _require_axis3_zero_mean(spec: NoiseSpec, fp: FreePrecession, op: str):

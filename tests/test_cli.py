@@ -415,7 +415,8 @@ def test_montecarlo_work_cap_exits_2(tmp_path, capsys):
         "mode": "montecarlo",
         "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
         "precession": {"omega0": 1.0},
-        "trajectory": {"dt": 0.01, "n_steps": 10_000_000_000, "n_traj": 100, "seed": 5},
+        # 1.8e10 trajectory-steps, in fewer steps than the output-row cap
+        "trajectory": {"dt": 0.01, "n_steps": 9_000_000, "n_traj": 2000, "seed": 5},
     }
     code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
     assert code == 2
@@ -423,6 +424,31 @@ def test_montecarlo_work_cap_exits_2(tmp_path, capsys):
     (record,) = diagnostics(err)
     assert record["code"] == "invalid-input"
     assert "n_traj * n_steps" in record["message"]
+
+
+def test_montecarlo_row_cap_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # 2e9 trajectory-steps and 0.96 GB of moments pass the work caps;
+    # 2e7 output rows do not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr("fiberpol.cli.ensemble_average", refuse)
+    monkeypatch.setattr("fiberpol.cli.mc_double_pass", refuse)
+    cfg = {
+        "mode": "montecarlo",
+        "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 20_000_000, "n_traj": 100, "seed": 5},
+    }
+    # a round trip writes 2 n_steps + 1 rows
+    for n_steps, double_pass in ((20_000_000, False), (10_000_000, False), (5_000_000, True)):
+        cfg["trajectory"].update(n_steps=n_steps, double_pass=double_pass)
+        code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert out == ""
+        (record,) = diagnostics(err)
+        assert record["code"] == "invalid-input"
+        assert "rows" in record["message"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
@@ -774,8 +800,9 @@ def test_parse_config_fails_only_with_typed_errors(obj):
 
 
 # Whole runs of main on values at the edges of the float range: every run
-# ends in finite output or one typed diagnostic.  compare is left out: its
-# z is documented to be +-inf where the two sides differ at zero stderr.
+# ends in finite output or one typed diagnostic.  compare's z cells are the
+# one exception: they are documented to be +-inf where the two sides
+# differ at zero stderr.
 # Strengths, rates and dt keep the signs validation allows, and c, beta
 # and dt lean towards the values the closed form and the step-size check
 # accept, so that most runs get past validation.
@@ -790,9 +817,11 @@ TIMES = st.lists(st.sampled_from(EDGES), min_size=1, max_size=3, unique=True).ma
 
 @st.composite
 def edge_runs(draw):
-    mode = draw(st.sampled_from(["evolve", "mueller", "cp-check", "experiment", "montecarlo"]))
+    mode = draw(st.sampled_from(["evolve", "mueller", "cp-check", "experiment", "montecarlo",
+                                 "compare"]))
+    stochastic = mode in ("montecarlo", "compare")
     obj = {"mode": mode}
-    if mode == "montecarlo" or draw(st.booleans()):
+    if stochastic or draw(st.booleans()):
         obj["noise"] = {"g": draw(NON_NEGATIVE3), "lam": draw(POSITIVE3), "mean": draw(EDGE3)}
         # round trips need precession about axis 3 and zero-mean noise
         axes = [[0, 0, 1]] if mode == "montecarlo" else [[0, 0, 1], [1, 0, 0], [0.6, 0, 0.8]]
@@ -801,8 +830,8 @@ def edge_runs(draw):
         obj["params"] = {k: draw(EDGE) for k in ("a", "b", "alpha", "gamma")}
         obj["params"].update(c=draw(st.just(0.0) | EDGE), beta=draw(st.just(0.0) | EDGE),
                              omega=draw(EDGE | EDGE3))
-    if mode == "montecarlo":
-        round_trip = draw(st.booleans())
+    if stochastic:
+        round_trip = mode == "montecarlo" and draw(st.booleans())
         obj["trajectory"] = {"dt": draw(st.just(1e-300) | POSITIVE),
                              "n_steps": draw(st.integers(1, 5)), "n_traj": 100,
                              "seed": draw(st.integers(0, 9)), "double_pass": round_trip}
@@ -828,6 +857,10 @@ def test_runs_end_in_finite_output_or_one_diagnostic(tmp_path_factory, obj):
     if code == 3:
         assert len(lines) == 1
     if code == 0:
-        _, _, rows = csv_parts(out.getvalue())
-        cells = [cell for row in rows for cell in row if cell not in ("", "true", "false")]
-        assert all(math.isfinite(float(cell)) for cell in cells)
+        _, header, rows = csv_parts(out.getvalue())
+        for row in rows:
+            for name, cell in zip(header, row):
+                if cell in ("", "true", "false"):
+                    continue
+                value = float(cell)
+                assert math.isfinite(value) or (name.startswith("z") and math.isinf(value))

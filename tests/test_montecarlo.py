@@ -321,6 +321,22 @@ def test_one_cpu_starts_no_child(monkeypatch):
                           ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG).mean_stokes)
 
 
+def test_without_fork_the_caller_runs_every_block(monkeypatch):
+    starts = _count_starts(monkeypatch)
+    _fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    serial = ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=3)
+    assert starts == []
+    monkeypatch.undo()
+    assert np.array_equal(serial.mean_stokes,
+                          ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG).mean_stokes)
+
+
 @needs_two_cpus
 def test_worker_count_is_capped_by_the_cpus(monkeypatch):
     starts = _count_starts(monkeypatch)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fiberpol import (
@@ -21,11 +23,21 @@ from fiberpol import (
 )
 
 
-def draw_cp_transverse(rng, rate_lo=0.05, rate_hi=1.5):
-    """CP parameter set with c = beta = 0, built from a PSD coefficient matrix."""
-    r, s, t = rng.uniform(rate_lo, rate_hi, size=3)
-    b = rng.uniform(-0.8, 0.8) * math.sqrt(r * s)
+def cp_transverse(r, s, t, b_frac):
+    """CP parameter set with c = beta = 0, built from a PSD coefficient matrix.
+
+    r, s, t are its diagonal and b = b_frac sqrt(r s), with |b_frac| < 1.
+    """
+    b = b_frac * math.sqrt(r * s)
     return DissipativeParams(a=s + t, b=b, c=0.0, alpha=r + t, beta=0.0, gamma=r + s)
+
+
+def draw_cp_transverse(rng, rate_lo=0.05, rate_hi=1.5):
+    return cp_transverse(*rng.uniform(rate_lo, rate_hi, size=3), rng.uniform(-0.8, 0.8))
+
+
+RATE = st.floats(0.05, 1.5)
+CP_TRANSVERSE = st.builds(cp_transverse, RATE, RATE, RATE, st.floats(-0.8, 0.8))
 
 
 def osc_freq_sq(p, omega):
@@ -111,6 +123,35 @@ def test_branch_boundary_continuity():
                 assert np.max(np.abs(diff)) < 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+# |Omega| t on each side of the series switch at 1e-4, on both branches
+@example(p=cp_transverse(0.3, 0.9, 0.5, 0.4), overdamped=False, size=0.5, omega_t=0.99e-4)
+@example(p=cp_transverse(0.3, 0.9, 0.5, 0.4), overdamped=False, size=0.5, omega_t=1.01e-4)
+@example(p=cp_transverse(0.3, 0.9, 0.5, 0.4), overdamped=True, size=0.5, omega_t=0.99e-4)
+@example(p=cp_transverse(0.3, 0.9, 0.5, 0.4), overdamped=True, size=0.5, omega_t=1.01e-4)
+@given(
+    p=CP_TRANSVERSE,
+    overdamped=st.booleans(),
+    size=st.floats(0.1, 1.0),
+    omega_t=st.floats(1e-6, 1e-3) | st.floats(0.05, 2.0),
+)
+def test_closed_form_matches_expm_on_both_branches(p, overdamped, size, omega_t):
+    # Omega^2 = omega^2 - k with k = b^2 + (a - alpha)^2 / 4: omega picks the sign
+    k = p.b**2 + 0.25 * (p.a - p.alpha) ** 2
+    if overdamped:
+        omega = math.sqrt((1.0 - size) * k)
+    else:
+        omega = math.sqrt(k + size)
+    omega_sq = osc_freq_sq(p, omega)
+    # k near 0 leaves no room below Omega^2 = 0, and t = omega_t / |Omega| unbounded
+    assume(abs(omega_sq) >= 1e-2)
+    assert (omega_sq < 0.0) == overdamped
+    t = omega_t / math.sqrt(abs(omega_sq))
+    diff = mueller_closed_form(p, omega, t).matrix - mueller_exact(
+        build_generator(p, (0.0, 0.0, omega)), t).matrix
+    assert np.max(np.abs(diff)) < (1e-12 if omega_t <= 1e-3 else 1e-10)
+
+
 def test_small_time_series_branch():
     p = DissipativeParams(a=1.0, b=0.3, c=0.0, alpha=0.7, beta=0.0, gamma=0.5)
     omega = 0.55
@@ -138,16 +179,18 @@ def test_negative_time_rejected():
         mueller_closed_form(p, 1.0, -0.1)
 
 
-def test_semigroup_property():
-    rng = np.random.default_rng(900)
-    for _ in range(20):
-        p = draw_cp_transverse(rng)
-        w = rng.uniform(-2.0, 2.0, size=3)
-        gen = build_generator(p, w)
-        t, s = rng.uniform(0.05, 2.0, size=2)
-        combined = mueller_exact(gen, t + s)
-        composed = mueller_exact(gen, t) @ mueller_exact(gen, s)
-        assert np.allclose(combined.matrix, composed.matrix, atol=1e-10)
+@settings(max_examples=50, deadline=None)
+@given(
+    p=CP_TRANSVERSE,
+    w=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    t=st.floats(0.05, 2.0),
+    s=st.floats(0.05, 2.0),
+)
+def test_semigroup_property(p, w, t, s):
+    gen = build_generator(p, w)
+    combined = mueller_exact(gen, t + s)
+    composed = mueller_exact(gen, t) @ mueller_exact(gen, s)
+    assert np.allclose(combined.matrix, composed.matrix, atol=1e-10)
 
 
 def test_backward_is_flipped_generator():
