@@ -25,12 +25,12 @@ ensemble of identical trajectories at exactly zero, which the zero-noise
 limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
-up to _GROUP_BLOCKS whole blocks is advanced side by side in
-component-major (3, width) arrays, and the short last block that
-n_traj % _BLOCK != 0 leaves runs alone as a group of its own.  Every
-step applies the same elementwise operations in the same order whatever
-the width, so the states, and hence the moments, carry the same bits as
-a block-at-a-time or one-trajectory-at-a-time run.
+up to _GROUP_BLOCKS blocks is advanced side by side in component-major
+(3, width) arrays.  The run's short last block rides in the last group:
+alone, it would pay the per-step overhead of a whole group.  Every step
+applies the same elementwise operations in the same order whatever the
+width, so the states, and hence the moments, carry the same bits as a
+block-at-a-time or one-trajectory-at-a-time run.
 
 The blocks are cut into min(n_workers, CPUs, blocks) contiguous shares of
 near-equal size, CPUs being those in the process's affinity mask.  The
@@ -297,26 +297,26 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                    j0: int, j1: int, round_trip: bool, keep: np.ndarray):
-    """Welford moments of the equal-size blocks that make up [j0, j1), in block order.
+    """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
 
-    The group is either whole _BLOCK-trajectory blocks or one short
-    block.  Moments are kept for the rows in keep, an increasing index
-    array.  Each block accumulates its running mean and squared
-    deviations in trajectory order, vectorised across the group's blocks
-    and across the kept rows of each chunk; an ensemble of identical
-    trajectories yields squared deviations of exactly zero, with no
-    cancellation.
+    Moments are kept for the rows in keep, an increasing index array.
+    Each block accumulates its running mean and squared deviations in
+    trajectory order, vectorised across the group's blocks and across
+    the kept rows of each chunk; an ensemble of identical trajectories
+    yields squared deviations of exactly zero, with no cancellation.
     """
-    nb = -(-(j1 - j0) // _BLOCK)
-    size = (j1 - j0) // nb
-    # columns run trajectory-major: trajectory k of every block, then k + 1
-    order = [j0 + b * size + k for k in range(size) for b in range(nb)]
+    full, tail = divmod(j1 - j0, _BLOCK)
+    nb = full + (tail > 0)
+    # columns run trajectory-major: trajectory k of every block still
+    # filling, then trajectory k + 1; only the last block can be short
+    order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
+             if b * _BLOCK + k < j1 - j0]
     # block index last, so every update below is one contiguous sweep
     mean = np.empty((len(keep), 3, nb))
     m2 = np.empty_like(mean)
     span = min(_CHUNK, cfg.n_steps) + 1
     # by_traj[k, ..., b] is trajectory k of block b
-    by_traj = np.empty((size, span, 3, nb))
+    by_traj = np.empty((_BLOCK, span, 3, nb))
     delta, tmp = np.empty((2, span, 3, nb))
 
     def consume(row, states):
@@ -327,13 +327,22 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
         if c < states.shape[0]:
             states = states[keep[lo:hi] - row]
         x = by_traj[:, :c]
-        x[...] = states.reshape(c, 3, size, nb).transpose(2, 0, 1, 3)
+        split = tail * nb
+        x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
+        x[tail:, ..., :full] = (
+            states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
+        )
         m = mean[lo:hi]
         s = m2[lo:hi]
         m[...] = x[0]
         s[...] = 0.0
         d, t = delta[:c], tmp[:c]
-        for k in range(1, size):
+        for k in range(1, _BLOCK):
+            if k == tail:
+                # the short block is complete: carry on with the full ones
+                if not full:
+                    break
+                x, m, s, d, t = (a[..., :full] for a in (x, m, s, d, t))
             xk = x[k]
             np.subtract(xk, m, out=d)
             np.divide(d, k + 1, out=t)
@@ -343,7 +352,8 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
             s += t
 
     _propagate(spec, fp, cfg, order, round_trip, consume)
-    return [(size, mean[..., b], m2[..., b]) for b in range(nb)]
+    sizes = [_BLOCK] * full + ([tail] if tail else [])
+    return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
 
 
 def _available_cpus() -> int:
@@ -355,14 +365,9 @@ def _available_cpus() -> int:
 
 
 def _share_moments(spec, fp, cfg, round_trip, keep, b0, b1):
-    """Block moments of blocks [b0, b1), whole blocks _GROUP_BLOCKS at a time.
-
-    The run's short last block, if this share holds it, is a group of its own.
-    """
-    whole = min(b1, cfg.n_traj // _BLOCK) * _BLOCK
-    edges = [*range(b0 * _BLOCK, whole, _GROUP_BLOCKS * _BLOCK), whole,
-             min(b1 * _BLOCK, cfg.n_traj)]
-    return [part for j0, j1 in zip(edges, edges[1:]) if j1 > j0
+    """Block moments of blocks [b0, b1), computed _GROUP_BLOCKS blocks at a time."""
+    ends = [min(b * _BLOCK, cfg.n_traj) for b in (*range(b0, b1, _GROUP_BLOCKS), b1)]
+    return [part for j0, j1 in zip(ends, ends[1:])
             for part in _group_moments(spec, fp, cfg, j0, j1, round_trip, keep)]
 
 
