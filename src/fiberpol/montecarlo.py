@@ -38,19 +38,18 @@ calling process computes the first share, one forked process computes
 each of the others and sends its block moments back over a pipe, and the
 parent merges every block in block order, so the worker count does not
 change the bits.  Without fork there is one share, and the groups run in
-order in the calling process.  Moments are kept for the rows a caller
-asks for, so the per-block work after propagation scales with those rows.
+order in the calling process.
 
-Draw order per trajectory and segment: n_steps + 1 rows of three
-standard normals; row 0 initializes F from its stationary law
-N(mean, G), row k relaxes F to time k dt.  The rows after row 0 are
-drawn _CHUNK at a time from the same per-trajectory stream, which yields
-the same values as one (n_steps + 1, 3) draw; only the current chunk's
-normals and states are held, so memory does not grow with n_steps
-beyond the (rows, 3) moments themselves.  A round trip draws a second
-such sequence for the return pass: the return-pass field is a fresh
-stationary realization, not a time-reversed replay, because the flight
-time far exceeds the noise correlation time.
+Draw order per trajectory and segment: n_steps + 1 rows of three standard
+normals; row 0 initializes F from its stationary law N(mean, G), row k
+relaxes F to time k dt.  Rows after row 0 are drawn _CHUNK at a time, the
+same values as one (n_steps + 1, 3) draw, and scaled in place.  Each step
+writes its state into the next slot of a buffer of at most _KEPT_SLOTS kept
+rows, or else into a scratch slot, and the moments read the buffer when it
+is full; memory holds one chunk of normals whatever n_steps, and the work
+after propagation scales with the kept rows.  A round trip draws a second
+sequence for the return pass, a fresh stationary realization, not a
+time-reversed replay: the flight outlasts the noise correlation by far.
 """
 
 from __future__ import annotations
@@ -71,8 +70,10 @@ from .states import StokesVector
 _BLOCK = 256
 #: blocks propagated side by side
 _GROUP_BLOCKS = 8
-#: steps whose normals are drawn, and whose states are recorded, at a time
-_CHUNK = 64
+#: steps whose normals are drawn at a time
+_CHUNK = 128
+#: kept rows the kernel holds, and hands on, at a time; at least 2 (see _row_slots)
+_KEPT_SLOTS = 64
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
 Z_ABS_TOL = 1e-9
@@ -205,24 +206,38 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _row_slots(states: np.ndarray, keep: np.ndarray, n_rows: int):
+    """(slot, flush) per row: the view of states to write it to, and a count.
+
+    states holds cap kept-row slots, then two scratch slots.  Kept rows fill
+    the kept slots in order; flush counts them once all are filled or the
+    last kept row is in, else is 0.  Other rows use scratch slot row % 2, so,
+    given cap > 1 or one kept row, no row overwrites the one its step reads.
+    """
+    cap, filled, i = len(states) - 2, 0, 0
+    for row in range(n_rows):
+        if i < len(keep) and keep[i] == row:
+            i, filled = i + 1, filled % cap + 1
+            yield states[filled - 1], filled if filled == cap or i == len(keep) else 0
+        else:
+            yield states[cap + row % 2], 0
+
+
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-               indices: list[int], round_trip: bool, consume) -> None:
+               indices: list[int], round_trip: bool, keep: np.ndarray):
     """Advance the given trajectories side by side, one draw chunk at a time.
 
-    States are component-major, shape (3, width): column p holds
-    trajectory indices[p].  After each chunk, consume(row, states)
-    receives the recorded states of rows row, row + 1, ... as a
-    (rows, 3, width) view that the next chunk overwrites; the first call
-    starts with row 0, the initial state.  Every operation is the
-    elementwise one of the Rodrigues step, in a fixed order, so the bits
-    do not depend on the width, the column order or the chunk.
+    States are component-major, shape (3, width): column p holds trajectory
+    indices[p].  Yields the rows in keep, an increasing array, in order, as
+    (rows, 3, width) views that later steps overwrite.  Every operation is
+    the elementwise one of the Rodrigues step, in a fixed order, so the bits
+    depend on none of the width, the column order, the chunk or the rows kept.
     """
     width = len(indices)
     n = cfg.n_steps
     chunk = min(_CHUNK, n)
     g, lam, mean = (np.array(x)[:, None] for x in (spec.g, spec.lam, spec.mean))
     decay, step_sigma = _ou_coefficients(g, lam, cfg.dt)
-    stationary_sigma = np.sqrt(g)
     axis_term = 0.5 * fp.omega0 * np.array(fp.n)[:, None]
     # per-component constants at full width: same values, faster ufunc loops
     mean, decay = (np.repeat(x, width, axis=1) for x in (mean, decay))
@@ -230,29 +245,30 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     gens = [_traj_rng(cfg.seed, j) for j in indices]
 
     draws = np.empty((width, chunk, 3))
-    kicks = np.empty((chunk, 3, width))
-    # rec[0] carries the state entering the chunk, rec[i + 1] the state after step i
-    rec = np.empty((chunk + 1, 3, width))
-    rec[0] = cfg.initial.as_array()[:, None]
+    flat = draws.reshape(width, 3 * chunk)
+    states = np.empty((min(len(keep), _KEPT_SLOTS) + 2, 3, width))
+    slots = _row_slots(states, keep, 2 * n + 1 if round_trip else n + 1)
+    bloch, flush = next(slots)
+    bloch[...] = cfg.initial.as_array()[:, None]
+    if flush:
+        yield states[:flush]
     field, v, unit, cross, tmp = np.empty((5, 3, width))
     vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
     (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = unit, cross, tmp
 
-    done = 0
     for sign in (1.0, -1.0) if round_trip else (1.0,):
         axis = np.repeat(sign * axis_term, width, axis=1)
         # draw row 0 initializes F from its stationary law N(mean, G)
         for gen, row in zip(gens, draws[:, 0]):
             gen.standard_normal(out=row)
-        np.multiply(draws[:, 0].T, stationary_sigma, out=field)
+        np.multiply(draws[:, 0].T, np.sqrt(g), out=field)
         field += mean
         for k0 in range(0, n, chunk):
             c = min(chunk, n - k0)
             for gen, rows in zip(gens, draws[:, :c]):
                 gen.standard_normal(out=rows)
-            np.multiply(draws[:, :c].transpose(1, 2, 0), step_sigma, out=kicks[:c])
+            flat[:, :3 * c] *= np.tile(step_sigma[:, 0], c)  # draws[:, :c] kick scales
             for i in range(c):
-                bloch = rec[i]
                 b0, b1, b2 = bloch
                 np.add(field, axis, out=v)
                 np.multiply(v, v, out=tmp)
@@ -279,7 +295,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 np.multiply(u1, b0, out=w)
                 c2 -= w
                 # cos bloch + (1 - cos) along unit + sin cross
-                out = rec[i + 1]
+                out, flush = next(slots)
                 np.multiply(bloch, cos_t, out=out)
                 np.subtract(1.0, cos_t, out=w)
                 w *= along
@@ -287,12 +303,11 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 out += tmp
                 np.multiply(cross, sin_t, out=tmp)
                 out += tmp
+                bloch = out
+                if flush:
+                    yield states[:flush]
                 # exact OU relaxation of F to the next step
-                _ou_relax(field, mean, decay, kicks[i])
-            first = 0 if done == 0 else 1
-            consume(done, rec[first:c + 1])
-            done += c + 1 - first
-            rec[0] = rec[c]
+                _ou_relax(field, mean, decay, draws[:, i].T)
 
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
@@ -302,8 +317,8 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     Moments are kept for the rows in keep, an increasing index array.
     Each block accumulates its running mean and squared deviations in
     trajectory order, vectorised across the group's blocks and across
-    the kept rows of each chunk; an ensemble of identical trajectories
-    yields squared deviations of exactly zero, with no cancellation.
+    the kept rows of each yield; an ensemble of identical trajectories
+    ends with squared deviations of exactly zero, with no cancellation.
     """
     full, tail = divmod(j1 - j0, _BLOCK)
     nb = full + (tail > 0)
@@ -312,28 +327,21 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
              if b * _BLOCK + k < j1 - j0]
     # block index last, so every update below is one contiguous sweep
-    mean = np.empty((len(keep), 3, nb))
-    m2 = np.empty_like(mean)
-    span = min(_CHUNK, cfg.n_steps) + 1
-    # by_traj[k, ..., b] is trajectory k of block b
-    by_traj = np.empty((_BLOCK, span, 3, nb))
+    mean, m2 = np.empty((2, len(keep), 3, nb))
+    span = min(len(keep), _KEPT_SLOTS)
+    by_traj = np.empty((_BLOCK, span, 3, nb))  # by_traj[k, ..., b]: trajectory k of block b
     delta, tmp = np.empty((2, span, 3, nb))
-
-    def consume(row, states):
-        lo, hi = np.searchsorted(keep, (row, row + states.shape[0]))
-        c = hi - lo
-        if c == 0:
-            return
-        if c < states.shape[0]:
-            states = states[keep[lo:hi] - row]
+    lo = 0
+    for states in _propagate(spec, fp, cfg, order, round_trip, keep):
+        c = states.shape[0]
         x = by_traj[:, :c]
         split = tail * nb
         x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
         x[tail:, ..., :full] = (
             states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
         )
-        m = mean[lo:hi]
-        s = m2[lo:hi]
+        m, s = mean[lo:lo + c], m2[lo:lo + c]
+        lo += c
         m[...] = x[0]
         s[...] = 0.0
         d, t = delta[:c], tmp[:c]
@@ -350,8 +358,6 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
             np.subtract(xk, m, out=t)
             t *= d
             s += t
-
-    _propagate(spec, fp, cfg, order, round_trip, consume)
     sizes = [_BLOCK] * full + ([tail] if tail else [])
     return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
 
@@ -486,13 +492,8 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
     if not 0 <= traj_index < cfg.n_traj:
         raise InvalidInputError("traj_index must lie in [0, n_traj)")
     cfg.check_resolution(spec, fp)
-    states = np.empty((cfg.n_steps + 1, 3))
-
-    def consume(row, chunk):
-        states[row:row + chunk.shape[0]] = chunk[:, :, 0]
-
-    _propagate(spec, fp, cfg, [traj_index], False, consume)
-    return states
+    views = _propagate(spec, fp, cfg, [traj_index], False, np.arange(cfg.n_steps + 1))
+    return np.concatenate([kept[:, :, 0].copy() for kept in views])
 
 
 def ensemble_average(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,

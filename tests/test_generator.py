@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fiberpol import (
     DissipativeParams,
@@ -15,6 +17,7 @@ from fiberpol import (
     lindblad_apply,
     params_from_kossakowski,
 )
+from fiberpol.errors import CP_TOL
 from fiberpol.states import PAULI, StokesVector
 
 
@@ -65,6 +68,30 @@ def test_residual_sign_matches_eigenvalue_sign():
         assert is_completely_positive(p) == (min_eig > -1e-10)
         checked += 1
     assert checked > 250
+
+
+# draws whose smallest eigenvalue or residual lies within this of zero are
+# dropped: near the boundary the three tests may split on rounding alone
+CP_BAND = 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+# a positive-definite K, and K - 2 I with one eigenvalue of each sign
+@example(root=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), shift=0.0)
+@example(root=(1.0, 0.5, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 1.0), shift=2.0)
+@given(
+    root=st.tuples(*[st.floats(-1.5, 1.5)] * 9),
+    shift=st.floats(-0.5, 2.5),
+)
+def test_three_way_cp_equivalence(root, shift):
+    """is_completely_positive <=> every residual >= -CP_TOL <=> min eig of K >= -CP_TOL."""
+    r = np.array(root).reshape(3, 3)
+    p = params_from_kossakowski(r @ r.T - shift * np.eye(3))
+    min_eig = np.linalg.eigvalsh(kossakowski_from_params(p).matrix)[0]
+    min_residual = min(cp_inequalities(p))
+    assume(abs(min_eig) > CP_BAND and abs(min_residual) > CP_BAND)
+    cp = is_completely_positive(p)
+    assert cp == (min_residual >= -CP_TOL) == (min_eig >= -CP_TOL)
 
 
 def test_psd_construction_is_cp():

@@ -399,6 +399,82 @@ def test_kept_rows_match_the_full_run():
             ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=bad)
 
 
+def _stream(spec, fp, cfg, indices, round_trip, rows):
+    """Every state the kernel yields, copied before the kernel goes on."""
+    views = montecarlo._propagate(spec, fp, cfg, indices, round_trip, np.array(rows))
+    return np.concatenate([view.copy() for view in views])
+
+
+def _spy_slots(mp):
+    """Record the kernel's kept-slot count and the (slot, flush) of every row it writes."""
+    log = {"slots": []}
+    row_slots = montecarlo._row_slots
+
+    def spy(states, keep, n_rows):
+        log["cap"] = len(states) - 2
+        for view, flush in row_slots(states, keep, n_rows):
+            log["slots"].append(((view.ctypes.data - states.ctypes.data) // states[0].nbytes,
+                                 flush))
+            yield view, flush
+
+    mp.setattr(montecarlo, "_row_slots", spy)
+    return log
+
+
+@settings(max_examples=40, deadline=None)
+# row 0, the mirror row 9 and its neighbours, and the last row, in two flushes
+@example(n_steps=9, round_trip=True, chunk=2, slots=3, picks={0, 8, 9, 10, 18}, seed=3)
+# neither row 0 nor the last row: a two-slot buffer, handed on twelve times
+@example(n_steps=12, round_trip=True, chunk=1, slots=2, picks=set(range(1, 24)), seed=2**64 - 1)
+# one kept row: a one-slot buffer, at either end of the run
+@example(n_steps=7, round_trip=False, chunk=5, slots=2, picks={7}, seed=11)
+@example(n_steps=11, round_trip=False, chunk=3, slots=5, picks={0}, seed=12)
+@given(
+    n_steps=st.integers(1, 12),
+    round_trip=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 5]),
+    slots=st.sampled_from([2, 3, 5]),
+    picks=st.sets(st.integers(0, 24), min_size=1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots, picks, seed):
+    spec, fp = SPLIT_CASES["axis3" if round_trip else "off-axis-biased"]
+    cfg = TrajectoryConfig(dt=0.01, n_steps=n_steps, n_traj=100, seed=seed,
+                           initial=StokesVector(0.3, -0.5, 0.6))
+    n_rows = 2 * n_steps + 1 if round_trip else n_steps + 1
+    rows = sorted({r % n_rows for r in picks})
+    indices = [4, 0, 7]
+    everything = _stream(spec, fp, cfg, indices, round_trip, range(n_rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_CHUNK", chunk)
+        mp.setattr(montecarlo, "_KEPT_SLOTS", slots)
+        log = _spy_slots(mp)
+        kept = _stream(spec, fp, cfg, indices, round_trip, rows)
+    assert np.array_equal(kept, everything[rows])
+
+    # replay the slot schedule: kept rows fill slots 0, 1, ... and are handed
+    # on in row order; no row lands in the slot its step reads (the row
+    # before it) or in a slot whose kept row is still waiting to be handed on
+    cap, schedule = log["cap"], log["slots"]
+    assert cap == min(len(rows), slots)
+    assert len(schedule) == n_rows
+    waiting, handed_on, read = [], [], None
+    for row, (slot, flush) in enumerate(schedule):
+        assert slot != read and slot not in [s for s, _ in waiting]
+        if row in rows:
+            assert slot == len(waiting)
+            waiting.append((slot, row))
+        else:
+            assert slot in (cap, cap + 1)
+        if flush:
+            assert flush == len(waiting)
+            handed_on += [r for _, r in waiting]
+            waiting = []
+        read = slot
+    assert handed_on == rows
+    assert sum(flush > 0 for _, flush in schedule) == math.ceil(len(rows) / cap)
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for arr in arrays:
