@@ -207,7 +207,7 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _row_slots(states: np.ndarray, keep: np.ndarray, n_rows: int):
-    """(slot, flush) per row: the view of states to write it to, and a count.
+    """(view, flush) per row: the slot of states that takes the row, and a count.
 
     states holds cap kept-row slots, then two scratch slots.  Kept rows fill
     the kept slots in order; flush counts them once all are filled or the
@@ -245,7 +245,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     gens = [_traj_rng(cfg.seed, j) for j in indices]
 
     draws = np.empty((width, chunk, 3))
-    flat = draws.reshape(width, 3 * chunk)
+    flat, kicks = draws.reshape(width, 3 * chunk), draws.transpose(1, 2, 0)  # views of draws
     states = np.empty((min(len(keep), _KEPT_SLOTS) + 2, 3, width))
     slots = _row_slots(states, keep, 2 * n + 1 if round_trip else n + 1)
     bloch, flush = next(slots)
@@ -267,7 +267,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
             c = min(chunk, n - k0)
             for gen, rows in zip(gens, draws[:, :c]):
                 gen.standard_normal(out=rows)
-            flat[:, :3 * c] *= np.tile(step_sigma[:, 0], c)  # draws[:, :c] kick scales
+            flat[:, :3 * c] *= np.tile(step_sigma[:, 0], c)  # draws[:, :c] become kicks
             for i in range(c):
                 b0, b1, b2 = bloch
                 np.add(field, axis, out=v)
@@ -307,7 +307,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 if flush:
                     yield states[:flush]
                 # exact OU relaxation of F to the next step
-                _ou_relax(field, mean, decay, draws[:, i].T)
+                _ou_relax(field, mean, decay, kicks[i])
 
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
