@@ -81,10 +81,6 @@ from .noise import FreePrecession, NoiseSpec, _averaged_dynamics, noise_cp_condi
 from .propagator import mueller_exact
 from .states import StokesVector
 
-MODES = ("evolve", "mueller", "cp-check", "experiment", "montecarlo", "compare")
-_GENERATOR_MODES = ("evolve", "mueller", "cp-check", "experiment")
-_STOCHASTIC_MODES = ("montecarlo", "compare")
-_TIMED_MODES = ("evolve", "mueller", "experiment")
 #: output rows a run may build: a {start, stop, count} grid is expanded in
 #: memory before anything runs, and montecarlo writes one row per step
 _MAX_GRID_POINTS = 10_000_000
@@ -250,6 +246,7 @@ def parse_config(text: str) -> RunConfig:
     mode = obj.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}")
+    _, stochastic, timed = _MODES[mode]
 
     # the parsed, defaults-filled config, which the digest covers
     blocks = {name: _fields(obj[name], _SCHEMA[name], name)
@@ -272,7 +269,7 @@ def parse_config(text: str) -> RunConfig:
         params_omega = coefficients.pop("omega")
         params = DissipativeParams(**coefficients)
 
-    if mode in _GENERATOR_MODES:
+    if not stochastic:
         if (noise is None) == (params is None):
             raise ConfigError(f"mode {mode!r} needs exactly one of noise or params")
     else:
@@ -282,7 +279,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"mode {mode!r} derives its dynamics from noise; params is not allowed"
             )
-    if mode in _TIMED_MODES and "times" not in blocks:
+    if timed and "times" not in blocks:
         raise ConfigError(f"mode {mode!r} requires times")
 
     initial = StokesVector(*blocks["initial"])
@@ -296,7 +293,7 @@ def parse_config(text: str) -> RunConfig:
             trajectory = TrajectoryConfig(**steps, initial=initial)
         except InvalidInputError as exc:
             raise ConfigError(f"trajectory: {exc}") from exc
-    if mode in _STOCHASTIC_MODES and trajectory is None:
+    if stochastic and trajectory is None:
         raise ConfigError(f"mode {mode!r} requires a trajectory block")
     if mode == "montecarlo":
         n_rows = (2 if round_trip else 1) * trajectory.n_steps + 1
@@ -472,21 +469,24 @@ def _mode_compare(cfg: RunConfig):
     return columns, rows, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
 
 
-_HANDLERS = {
-    "evolve": _mode_evolve,
-    "mueller": _mode_mueller,
-    "cp-check": _mode_cp_check,
-    "experiment": _mode_experiment,
-    "montecarlo": _mode_montecarlo,
-    "compare": _mode_compare,
+#: mode -> (handler, stochastic: needs noise and a trajectory block, needs times)
+_MODES = {
+    "evolve": (_mode_evolve, False, True),
+    "mueller": (_mode_mueller, False, True),
+    "cp-check": (_mode_cp_check, False, False),
+    "experiment": (_mode_experiment, False, True),
+    "montecarlo": (_mode_montecarlo, True, False),
+    "compare": (_mode_compare, True, False),
 }
+#: the mode names, a tuple: membership of an unhashable value is False, not a TypeError
+MODES = tuple(_MODES)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration and write its output table."""
     # results are checked for overflow and nan, which raise NumericalFailureError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        columns, rows, extras = _HANDLERS[cfg.mode](cfg)
+        columns, rows, extras = _MODES[cfg.mode][0](cfg)
     metadata = {
         "mode": cfg.mode,
         "version": __version__,

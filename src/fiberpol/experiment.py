@@ -86,7 +86,7 @@ class RScanResult:
 
 def _r_point(p: DissipativeParams, omega: float, t: float):
     """(forward matrix, plus_double, r_value, r_closed, cp_verdict) at one float time t."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise InvalidInputError("R(t) needs a strictly positive time")
     forward = _closed_form(p, p.b, omega, t)
     backward = _closed_form(p, -p.b, -omega, t)

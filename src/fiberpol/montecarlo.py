@@ -44,9 +44,9 @@ Draw order per trajectory and segment: n_steps + 1 rows of three standard
 normals; row 0 initializes F from its stationary law N(mean, G), row k
 relaxes F to time k dt.  Rows after row 0 are drawn _CHUNK at a time, the
 same values as one (n_steps + 1, 3) draw, and scaled in place.  Each step
-writes its state into the next slot of a buffer of at most _KEPT_SLOTS kept
-rows, or else into a scratch slot, and the moments read the buffer when it
-is full; memory holds one chunk of normals whatever n_steps, and the work
+updates one state in place; a kept row is copied into a buffer of at most
+_KEPT_SLOTS rows, which the moments read when it is full and after the last
+kept row.  Memory holds one chunk of normals whatever n_steps, and the work
 after propagation scales with the kept rows.  A round trip draws a second
 sequence for the return pass, a fresh stationary realization, not a
 time-reversed replay: the flight outlasts the noise correlation by far.
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ _BLOCK = 256
 _GROUP_BLOCKS = 8
 #: steps whose normals are drawn at a time
 _CHUNK = 128
-#: kept rows the kernel holds, and hands on, at a time; at least 2 (see _row_slots)
+#: kept rows the kernel copies, and hands on, at a time
 _KEPT_SLOTS = 64
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
@@ -84,7 +85,8 @@ _REPORT_ROWS = 20
 #: take: about 20 minutes on two cores
 _MAX_TRAJ_STEPS = 10**10
 #: bytes of float64 block moments (mean and squared deviations of every
-#: kept row in every block) a run may hold
+#: kept row in every block) a run may hold, and of the rows that
+#: evolve_trajectory returns
 _MAX_MOMENT_BYTES = 2**30
 
 
@@ -100,9 +102,11 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "n_traj", int(self.n_traj))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("n_steps", "n_traj", "seed"):
+            try:  # a float, even 5.0, is refused rather than truncated
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer") from None
         if not isinstance(self.initial, StokesVector):
             object.__setattr__(self, "initial", StokesVector.from_array(self.initial))
         if not self.dt > 0.0:
@@ -189,9 +193,9 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     """
     g = np.asarray(g, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):
         raise InvalidInputError("g must be non-negative")
-    if np.any(lam <= 0.0):
+    if not np.all(lam > 0.0):
         raise InvalidInputError("lam must be positive")
     if not dt > 0.0:
         raise InvalidInputError("dt must be positive")
@@ -206,32 +210,17 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _row_slots(states: np.ndarray, keep: np.ndarray, n_rows: int):
-    """(view, flush) per row: the slot of states that takes the row, and a count.
-
-    states holds cap kept-row slots, then two scratch slots.  Kept rows fill
-    the kept slots in order; flush counts them once all are filled or the
-    last kept row is in, else is 0.  Other rows use scratch slot row % 2, so,
-    given cap > 1 or one kept row, no row overwrites the one its step reads.
-    """
-    cap, filled, i = len(states) - 2, 0, 0
-    for row in range(n_rows):
-        if i < len(keep) and keep[i] == row:
-            i, filled = i + 1, filled % cap + 1
-            yield states[filled - 1], filled if filled == cap or i == len(keep) else 0
-        else:
-            yield states[cap + row % 2], 0
-
-
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                indices: list[int], round_trip: bool, keep: np.ndarray):
     """Advance the given trajectories side by side, one draw chunk at a time.
 
     States are component-major, shape (3, width): column p holds trajectory
-    indices[p].  Yields the rows in keep, an increasing array, in order, as
-    (rows, 3, width) views that later steps overwrite.  Every operation is
-    the elementwise one of the Rodrigues step, in a fixed order, so the bits
-    depend on none of the width, the column order, the chunk or the rows kept.
+    indices[p], and one state is updated in place.  Yields the rows in keep,
+    an increasing array, in order, as (rows, 3, width) views of a buffer of
+    at most _KEPT_SLOTS copied rows that later steps overwrite.  Every
+    operation is the elementwise one of the Rodrigues step, in a fixed order,
+    so the bits depend on none of the width, the column order, the chunk or
+    the rows kept.
     """
     width = len(indices)
     n = cfg.n_steps
@@ -246,15 +235,25 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
     draws = np.empty((width, chunk, 3))
     flat, kicks = draws.reshape(width, 3 * chunk), draws.transpose(1, 2, 0)  # views of draws
-    states = np.empty((min(len(keep), _KEPT_SLOTS) + 2, 3, width))
-    slots = _row_slots(states, keep, 2 * n + 1 if round_trip else n + 1)
-    bloch, flush = next(slots)
-    bloch[...] = cfg.initial.as_array()[:, None]
-    if flush:
-        yield states[:flush]
+    bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
+    buffer = np.empty((min(len(keep), _KEPT_SLOTS), 3, width))
+    at = i_keep = 0  # the row the state is at, and the next kept row's index in keep
+
+    def copy_if_kept():
+        """Copy the state if its row is kept; hand the buffer on when full or done."""
+        nonlocal at, i_keep
+        if i_keep < len(keep) and keep[i_keep] == at:
+            filled = i_keep % len(buffer) + 1
+            buffer[filled - 1] = bloch
+            i_keep += 1
+            if filled == len(buffer) or i_keep == len(keep):
+                yield buffer[:filled]
+        at += 1
+
+    yield from copy_if_kept()
     field, v, unit, cross, tmp = np.empty((5, 3, width))
     vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
-    (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = unit, cross, tmp
+    (b0, b1, b2), (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = bloch, unit, cross, tmp
 
     for sign in (1.0, -1.0) if round_trip else (1.0,):
         axis = np.repeat(sign * axis_term, width, axis=1)
@@ -269,7 +268,6 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 gen.standard_normal(out=rows)
             flat[:, :3 * c] *= np.tile(step_sigma[:, 0], c)  # draws[:, :c] become kicks
             for i in range(c):
-                b0, b1, b2 = bloch
                 np.add(field, axis, out=v)
                 np.multiply(v, v, out=tmp)
                 np.add(t0, t1, out=vnorm)
@@ -295,17 +293,14 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 np.multiply(u1, b0, out=w)
                 c2 -= w
                 # cos bloch + (1 - cos) along unit + sin cross
-                out, flush = next(slots)
-                np.multiply(bloch, cos_t, out=out)
+                bloch *= cos_t
                 np.subtract(1.0, cos_t, out=w)
                 w *= along
                 np.multiply(unit, w, out=tmp)
-                out += tmp
+                bloch += tmp
                 np.multiply(cross, sin_t, out=tmp)
-                out += tmp
-                bloch = out
-                if flush:
-                    yield states[:flush]
+                bloch += tmp
+                yield from copy_if_kept()
                 # exact OU relaxation of F to the next step
                 _ou_relax(field, mean, decay, kicks[i])
 
@@ -492,6 +487,9 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
     if not 0 <= traj_index < cfg.n_traj:
         raise InvalidInputError("traj_index must lie in [0, n_traj)")
     cfg.check_resolution(spec, fp)
+    if (cfg.n_steps + 1) * 3 * 8 > _MAX_MOMENT_BYTES:
+        raise InvalidInputError(f"a trajectory of {cfg.n_steps} steps would take more than "
+                                f"{_MAX_MOMENT_BYTES} bytes; use fewer steps")
     views = _propagate(spec, fp, cfg, [traj_index], False, np.arange(cfg.n_steps + 1))
     return np.concatenate([kept[:, :, 0].copy() for kept in views])
 

@@ -95,7 +95,7 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
     evolution is a forward semigroup only.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise InvalidInputError("evolution time must be non-negative")
     m = expm(-2.0 * t * g.matrix)
     if not np.isfinite(m).all():
@@ -112,7 +112,7 @@ def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.n
         raise UnsupportedConfigurationError(
             "closed form requires c = beta = 0 (within 1e-12); use mueller_exact instead"
         )
-    if t < 0.0:
+    if not t >= 0.0:
         raise InvalidInputError("evolution time must be non-negative")
     try:
         omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2

@@ -177,6 +177,47 @@ def test_times_validation(tmp_path, capsys):
     assert "requires times" in diagnostics(err)[0]["message"]
 
 
+NOISE_BLOCKS = {"noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
+                "precession": {"omega0": 1.0}}
+TRAJECTORY_BLOCK = {"dt": 0.01, "n_steps": 5, "n_traj": 100, "seed": 1}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_route_and_times_rules(mode):
+    stochastic = mode in ("montecarlo", "compare")
+    timed = mode in ("evolve", "mueller", "experiment")
+    good = {"mode": mode, **NOISE_BLOCKS,
+            **({"trajectory": TRAJECTORY_BLOCK} if stochastic else {"times": [0.5]})}
+    assert parse_config(json.dumps(good)).mode == mode
+    bare = {"mode": mode, **({"times": [0.5]} if timed else {})}
+    route = "needs noise and precession" if stochastic else "needs exactly one of noise or params"
+    with pytest.raises(ConfigError, match=f"mode '{mode}' {route}"):
+        parse_config(json.dumps(bare))
+    if stochastic:
+        with pytest.raises(ConfigError, match="params is not allowed"):
+            parse_config(json.dumps({**good, "params": PARAMS_BLOCK}))
+        with pytest.raises(ConfigError, match="requires a trajectory block"):
+            parse_config(json.dumps({"mode": mode, **NOISE_BLOCKS}))
+    else:
+        with pytest.raises(ConfigError, match="needs exactly one"):
+            parse_config(json.dumps({**good, "params": PARAMS_BLOCK}))
+        without_times = {"mode": mode, **NOISE_BLOCKS}
+        if timed:
+            with pytest.raises(ConfigError, match=f"mode '{mode}' requires times"):
+                parse_config(json.dumps(without_times))
+        else:
+            assert parse_config(json.dumps(without_times)).mode == mode
+
+
+@pytest.mark.parametrize("mode", [None, "bogus", [], ["evolve"], {"evolve": 1}])
+def test_bad_mode_exits_2(tmp_path, capsys, mode):
+    cfg = {"mode": mode, "params": PARAMS_BLOCK, "times": [0.5]}
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert diagnostics(err)[0]["message"] == (
+        "mode must be one of evolve, mueller, cp-check, experiment, montecarlo, compare")
+
+
 def test_time_grid_expansion(tmp_path, capsys):
     cfg = {
         "mode": "evolve",

@@ -62,6 +62,12 @@ def test_ou_step_validation():
         ou_step(0.0, 1.0, 0.0, 0.1, 0.0)
     with pytest.raises(InvalidInputError, match="dt must be positive"):
         ou_step(0.0, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(InvalidInputError, match="g must be non-negative"):
+        ou_step(0.0, math.nan, 1.0, 0.1, 0.5)
+    with pytest.raises(InvalidInputError, match="g must be non-negative"):
+        ou_step(0.0, [0.1, math.nan], 1.0, 0.1, 0.5)
+    with pytest.raises(InvalidInputError, match="lam must be positive"):
+        ou_step(0.0, 1.0, math.nan, 0.1, 0.5)
 
 
 def test_ou_step_stationary_moments():
@@ -251,6 +257,16 @@ def test_config_validation_messages():
         TrajectoryConfig(**{**good, "initial": StokesVector(1.1, 0.0, 0.0)})
 
 
+@pytest.mark.parametrize("name", ["n_steps", "n_traj", "seed"])
+@pytest.mark.parametrize("value", [1.7, 100.9, 200.0, math.nan, math.inf, "100", None])
+def test_config_sizes_must_be_integers(name, value):
+    good = dict(dt=0.01, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+        TrajectoryConfig(**{**good, name: value})
+    cfg = TrajectoryConfig(**{**good, name: np.int64(good[name])})
+    assert type(getattr(cfg, name)) is int
+
+
 def test_resolution_guard():
     cfg = TrajectoryConfig(dt=1e-3, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
     fast = NoiseSpec(g=(1.0, 1.0, 1.0), lam=(100.0, 1.0, 1.0))
@@ -271,6 +287,20 @@ def test_trajectory_index_bounds():
         evolve_trajectory(spec, fp, cfg, -1)
     with pytest.raises(InvalidInputError, match="traj_index"):
         evolve_trajectory(spec, fp, cfg, 100)
+
+
+def test_trajectory_memory_cap(monkeypatch):
+    spec = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0))
+    fp = FreePrecession(omega0=1.0)
+    cfg = TrajectoryConfig(dt=0.01, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
+    # 11 rows of 3 float64 components
+    monkeypatch.setattr(montecarlo, "_MAX_MOMENT_BYTES", 11 * 3 * 8)
+    assert evolve_trajectory(spec, fp, cfg, 0).shape == (11, 3)
+    monkeypatch.setattr(montecarlo, "_MAX_MOMENT_BYTES", 11 * 3 * 8 - 1)
+    # refused before the kernel starts, so before anything is allocated
+    monkeypatch.setattr(montecarlo, "_propagate", None)
+    with pytest.raises(InvalidInputError, match="10 steps would take more than"):
+        evolve_trajectory(spec, fp, cfg, 0)
 
 
 def test_workers_validation():
@@ -400,25 +430,9 @@ def test_kept_rows_match_the_full_run():
 
 
 def _stream(spec, fp, cfg, indices, round_trip, rows):
-    """Every state the kernel yields, copied before the kernel goes on."""
+    """Every view the kernel yields, copied before the kernel goes on."""
     views = montecarlo._propagate(spec, fp, cfg, indices, round_trip, np.array(rows))
-    return np.concatenate([view.copy() for view in views])
-
-
-def _spy_slots(mp):
-    """Record the kernel's kept-slot count and the (slot, flush) of every row it writes."""
-    log = {"slots": []}
-    row_slots = montecarlo._row_slots
-
-    def spy(states, keep, n_rows):
-        log["cap"] = len(states) - 2
-        for view, flush in row_slots(states, keep, n_rows):
-            log["slots"].append(((view.ctypes.data - states.ctypes.data) // states[0].nbytes,
-                                 flush))
-            yield view, flush
-
-    mp.setattr(montecarlo, "_row_slots", spy)
-    return log
+    return [view.copy() for view in views]
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,6 +440,8 @@ def _spy_slots(mp):
 @example(n_steps=9, round_trip=True, chunk=2, slots=3, picks={0, 8, 9, 10, 18}, seed=3)
 # neither row 0 nor the last row: a two-slot buffer, handed on twelve times
 @example(n_steps=12, round_trip=True, chunk=1, slots=2, picks=set(range(1, 24)), seed=2**64 - 1)
+# a one-slot buffer, handed on after every kept row
+@example(n_steps=6, round_trip=True, chunk=2, slots=1, picks={0, 5, 6, 12}, seed=5)
 # one kept row: a one-slot buffer, at either end of the run
 @example(n_steps=7, round_trip=False, chunk=5, slots=2, picks={7}, seed=11)
 @example(n_steps=11, round_trip=False, chunk=3, slots=5, picks={0}, seed=12)
@@ -433,7 +449,7 @@ def _spy_slots(mp):
     n_steps=st.integers(1, 12),
     round_trip=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, 5]),
-    slots=st.sampled_from([2, 3, 5]),
+    slots=st.sampled_from([1, 2, 3, 5]),
     picks=st.sets(st.integers(0, 24), min_size=1),
     seed=st.integers(0, 2**64 - 1),
 )
@@ -444,35 +460,15 @@ def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots,
     n_rows = 2 * n_steps + 1 if round_trip else n_steps + 1
     rows = sorted({r % n_rows for r in picks})
     indices = [4, 0, 7]
-    everything = _stream(spec, fp, cfg, indices, round_trip, range(n_rows))
+    everything = np.concatenate(_stream(spec, fp, cfg, indices, round_trip, range(n_rows)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_CHUNK", chunk)
         mp.setattr(montecarlo, "_KEPT_SLOTS", slots)
-        log = _spy_slots(mp)
         kept = _stream(spec, fp, cfg, indices, round_trip, rows)
-    assert np.array_equal(kept, everything[rows])
-
-    # replay the slot schedule: kept rows fill slots 0, 1, ... and are handed
-    # on in row order; no row lands in the slot its step reads (the row
-    # before it) or in a slot whose kept row is still waiting to be handed on
-    cap, schedule = log["cap"], log["slots"]
-    assert cap == min(len(rows), slots)
-    assert len(schedule) == n_rows
-    waiting, handed_on, read = [], [], None
-    for row, (slot, flush) in enumerate(schedule):
-        assert slot != read and slot not in [s for s, _ in waiting]
-        if row in rows:
-            assert slot == len(waiting)
-            waiting.append((slot, row))
-        else:
-            assert slot in (cap, cap + 1)
-        if flush:
-            assert flush == len(waiting)
-            handed_on += [r for _, r in waiting]
-            waiting = []
-        read = slot
-    assert handed_on == rows
-    assert sum(flush > 0 for _, flush in schedule) == math.ceil(len(rows) / cap)
+    # the buffer is handed on when it is full and after the last kept row
+    assert [len(view) for view in kept] == [len(rows[i:i + slots])
+                                            for i in range(0, len(rows), slots)]
+    assert np.array_equal(np.concatenate(kept), everything[rows])
 
 
 def _digest(*arrays):

@@ -20,6 +20,8 @@ from fiberpol import (
     double_pass,
     mueller_closed_form,
     mueller_exact,
+    r_observable,
+    r_scan,
 )
 
 
@@ -177,6 +179,23 @@ def test_negative_time_rejected():
         mueller_exact(gen, -0.1)
     with pytest.raises(InvalidInputError, match="non-negative"):
         mueller_closed_form(p, 1.0, -0.1)
+
+
+NAN_TIME_CALLS = {
+    "mueller_exact": lambda p, t: mueller_exact(build_generator(p, (0.0, 0.0, 1.0)), t),
+    "mueller_closed_form": lambda p, t: mueller_closed_form(p, 1.0, t),
+    "backward_mueller": lambda p, t: backward_mueller(p, 1.0, t),
+    "double_pass": lambda p, t: double_pass(p, 1.0, t, StokesVector(1.0, 0.0, 0.0)),
+    "r_observable": lambda p, t: r_observable(p, 1.0, t),
+    "r_scan": lambda p, t: r_scan(p, 1.0, [0.5, t]),
+}
+
+
+@pytest.mark.parametrize("call", NAN_TIME_CALLS.values(), ids=NAN_TIME_CALLS)
+def test_nan_time_rejected(call):
+    p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
+    with pytest.raises(InvalidInputError, match="time"):
+        call(p, math.nan)
 
 
 @settings(max_examples=50, deadline=None)
