@@ -436,7 +436,7 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
     if rows is not None:
         keep = np.asarray(rows)
         if (keep.ndim != 1 or not keep.size or keep.dtype.kind not in "iu"
-                or keep[0] < 0 or keep[-1] >= n_rows or np.any(np.diff(keep) <= 0)):
+                or keep[0] < 0 or keep[-1] >= n_rows or np.any(keep[1:] <= keep[:-1])):
             raise InvalidInputError(
                 f"rows must be increasing step indices in [0, {n_rows}), without repeats"
             )

@@ -424,7 +424,9 @@ def test_kept_rows_match_the_full_run():
     assert np.array_equal(kept.times, full.times[rows])
     assert np.array_equal(kept.mean_stokes, full.mean_stokes[rows])
     assert np.array_equal(kept.stderr, full.stderr[rows])
-    for bad in ([], [3, 3], [5, 2], [0, 31], [-1, 2], [0.0, 1.0], [[0, 1]]):
+    # unsigned rows too: np.diff of a decreasing uint64 array wraps to a positive step
+    for bad in ([], [3, 3], [5, 2], np.array([5, 2], dtype=np.uint64), [0, 31], [-1, 2],
+                [0.0, 1.0], [[0, 1]]):
         with pytest.raises(InvalidInputError, match="rows must be increasing"):
             ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=bad)
 
