@@ -43,11 +43,14 @@ order in the calling process.
 Draw order per trajectory and segment: n_steps + 1 rows of three standard
 normals; row 0 initializes F from its stationary law N(mean, G), row k
 relaxes F to time k dt.  Rows after row 0 are drawn _CHUNK at a time, the
-same values as one (n_steps + 1, 3) draw, and scaled in place.  Each step
-updates one state in place; a kept row is copied into a buffer of at most
-_KEPT_SLOTS rows, which the moments read when it is full and after the last
-kept row.  Memory holds one chunk of normals whatever n_steps, and the work
-after propagation scales with the kept rows.  A round trip draws a second
+same values as one (n_steps + 1, 3) draw, and scaled in place.  The
+kernel is a plain stream: it yields its one state, updated in place, at
+row 0 and after every step.  The moments alone pick the kept rows: they
+copy each into a batch of at most _KEPT_SLOTS rows, transpose the batch
+trajectory-major and run their Welford pass when it is full and after the
+last kept row, where the stream stops.
+Memory holds one chunk of normals whatever n_steps, and the work after
+propagation scales with the kept rows.  A round trip draws a second
 sequence for the return pass, a fresh stationary realization, not a
 time-reversed replay: the flight outlasts the noise correlation by far.
 """
@@ -73,7 +76,7 @@ _BLOCK = 256
 _GROUP_BLOCKS = 8
 #: steps whose normals are drawn at a time
 _CHUNK = 128
-#: kept rows the kernel copies, and hands on, at a time
+#: kept rows the moments batch for one Welford pass
 _KEPT_SLOTS = 64
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
@@ -90,6 +93,14 @@ _MAX_TRAJ_STEPS = 10**10
 _MAX_MOMENT_BYTES = 2**30
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float, even 5.0, is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Discretization and ensemble-size choices for a stochastic run."""
@@ -103,10 +114,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         object.__setattr__(self, "dt", float(self.dt))
         for name in ("n_steps", "n_traj", "seed"):
-            try:  # a float, even 5.0, is refused rather than truncated
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise InvalidInputError(f"{name} must be an integer") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not isinstance(self.initial, StokesVector):
             object.__setattr__(self, "initial", StokesVector.from_array(self.initial))
         if not self.dt > 0.0:
@@ -211,16 +219,15 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-               indices: list[int], round_trip: bool, keep: np.ndarray):
+               indices: list[int], round_trip: bool):
     """Advance the given trajectories side by side, one draw chunk at a time.
 
     States are component-major, shape (3, width): column p holds trajectory
-    indices[p], and one state is updated in place.  Yields the rows in keep,
-    an increasing array, in order, as (rows, 3, width) views of a buffer of
-    at most _KEPT_SLOTS copied rows that later steps overwrite.  Every
-    operation is the elementwise one of the Rodrigues step, in a fixed order,
-    so the bits depend on none of the width, the column order, the chunk or
-    the rows kept.
+    indices[p].  Yields the one state, updated in place, at row 0 and after
+    every step: n_steps + 1 times, 2 n_steps + 1 on a round trip.  A caller
+    copies what it keeps before it asks for the next row.  Every operation
+    is the elementwise one of the Rodrigues step, in a fixed order, so the
+    bits depend on none of the width, the column order or the chunk.
     """
     width = len(indices)
     n = cfg.n_steps
@@ -236,21 +243,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     draws = np.empty((width, chunk, 3))
     flat, kicks = draws.reshape(width, 3 * chunk), draws.transpose(1, 2, 0)  # views of draws
     bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
-    buffer = np.empty((min(len(keep), _KEPT_SLOTS), 3, width))
-    at = i_keep = 0  # the row the state is at, and the next kept row's index in keep
-
-    def copy_if_kept():
-        """Copy the state if its row is kept; hand the buffer on when full or done."""
-        nonlocal at, i_keep
-        if i_keep < len(keep) and keep[i_keep] == at:
-            filled = i_keep % len(buffer) + 1
-            buffer[filled - 1] = bloch
-            i_keep += 1
-            if filled == len(buffer) or i_keep == len(keep):
-                yield buffer[:filled]
-        at += 1
-
-    yield from copy_if_kept()
+    yield bloch
     field, v, unit, cross, tmp = np.empty((5, 3, width))
     vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
     (b0, b1, b2), (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = bloch, unit, cross, tmp
@@ -300,7 +293,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 bloch += tmp
                 np.multiply(cross, sin_t, out=tmp)
                 bloch += tmp
-                yield from copy_if_kept()
+                yield bloch
                 # exact OU relaxation of F to the next step
                 _ou_relax(field, mean, decay, kicks[i])
 
@@ -309,11 +302,11 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                    j0: int, j1: int, round_trip: bool, keep: np.ndarray):
     """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
 
-    Moments are kept for the rows in keep, an increasing index array.
-    Each block accumulates its running mean and squared deviations in
-    trajectory order, vectorised across the group's blocks and across
-    the kept rows of each yield; an ensemble of identical trajectories
-    ends with squared deviations of exactly zero, with no cancellation.
+    Moments are kept for the rows in keep, an increasing index array.  Kept
+    rows of the stream fill a batch of at most _KEPT_SLOTS rows; when it is
+    full or holds the last kept row, each block takes its running mean and
+    squared deviations in trajectory order, vectorised across blocks and
+    rows, so an ensemble of identical trajectories gives exactly zero.
     """
     full, tail = divmod(j1 - j0, _BLOCK)
     nb = full + (tail > 0)
@@ -324,22 +317,28 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     # block index last, so every update below is one contiguous sweep
     mean, m2 = np.empty((2, len(keep), 3, nb))
     span = min(len(keep), _KEPT_SLOTS)
-    by_traj = np.empty((_BLOCK, span, 3, nb))  # by_traj[k, ..., b]: trajectory k of block b
-    delta, tmp = np.empty((2, span, 3, nb))
-    lo = 0
-    for states in _propagate(spec, fp, cfg, order, round_trip, keep):
-        c = states.shape[0]
+    batch = np.empty((span, 3, len(order)))  # kept rows as the stream yields them
+    by_traj = np.empty((_BLOCK, span, 3, nb))  # by_traj[k, r, :, b]: trajectory k of block b
+    i_keep = 0  # the next kept row's index in keep
+    # the stream stops at the last kept row
+    for row, state in zip(range(keep[-1] + 1), _propagate(spec, fp, cfg, order, round_trip)):
+        if row != keep[i_keep]:
+            continue
+        batch[i_keep % span] = state
+        i_keep += 1
+        if i_keep % span and i_keep < len(keep):
+            continue
+        c = (i_keep - 1) % span + 1  # rows in the batch
+        # transposed once per batch: a transposing copy per row is slower
         x = by_traj[:, :c]
-        split = tail * nb
-        x[:tail] = states[..., :split].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
+        x[:tail] = batch[:c, :, :tail * nb].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
         x[tail:, ..., :full] = (
-            states[..., split:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
+            batch[:c, :, tail * nb:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
         )
-        m, s = mean[lo:lo + c], m2[lo:lo + c]
-        lo += c
+        m, s = mean[i_keep - c:i_keep], m2[i_keep - c:i_keep]
         m[...] = x[0]
         s[...] = 0.0
-        d, t = delta[:c], tmp[:c]
+        d, t = np.empty((2, c, 3, nb))
         for k in range(1, _BLOCK):
             if k == tail:
                 # the short block is complete: carry on with the full ones
@@ -425,6 +424,7 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
 
 def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> EnsembleTrajectory:
     cfg.check_resolution(spec, fp)
+    n_workers = _integer("n_workers", n_workers)
     if n_workers < 1:
         raise InvalidInputError("n_workers must be at least 1")
     n_rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
@@ -455,20 +455,22 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
     if "fork" not in multiprocessing.get_all_start_methods():
         k = 1
     bounds = [n_blocks * i // k for i in range(k + 1)]
-    parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
-
-    # merge block moments in block order: identical blocks merge with
-    # delta exactly zero
-    count, mean, m2 = parts[0]
-    for b_count, b_mean, b_m2 in parts[1:]:
-        total = count + b_count
-        delta = b_mean - mean
-        mean = mean + delta * (b_count / total)
-        m2 = m2 + b_m2 + delta**2 * (count * b_count / total)
-        count = total
     n = cfg.n_traj
+    # overflow shows as non-finite moments, refused below; forked children
+    # inherit this state
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
+        # merge block moments in block order: identical blocks merge with
+        # delta exactly zero
+        count, mean, m2 = parts[0]
+        for b_count, b_mean, b_m2 in parts[1:]:
+            total = count + b_count
+            delta = b_mean - mean
+            mean = mean + delta * (b_count / total)
+            m2 = m2 + b_m2 + delta**2 * (count * b_count / total)
+            count = total
+        stderr = np.sqrt(m2 / (n - 1) / n)
     times = keep * cfg.dt
-    stderr = np.sqrt(m2 / (n - 1) / n)
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)
     if not finite.all():
         t = times[finite.argmin()]
@@ -482,16 +484,24 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
 
     Row k is the state after k steps; the norm of every row equals the
     initial norm to rounding because each step is an exact rotation.
-    The realization depends only on (seed, traj_index).
+    The realization depends only on (seed, traj_index).  A row that is
+    not finite raises NumericalFailureError.
     """
+    traj_index = _integer("traj_index", traj_index)
     if not 0 <= traj_index < cfg.n_traj:
         raise InvalidInputError("traj_index must lie in [0, n_traj)")
     cfg.check_resolution(spec, fp)
     if (cfg.n_steps + 1) * 3 * 8 > _MAX_MOMENT_BYTES:
         raise InvalidInputError(f"a trajectory of {cfg.n_steps} steps would take more than "
                                 f"{_MAX_MOMENT_BYTES} bytes; use fewer steps")
-    views = _propagate(spec, fp, cfg, [traj_index], False, np.arange(cfg.n_steps + 1))
-    return np.concatenate([kept[:, :, 0].copy() for kept in views])
+    out = np.empty((cfg.n_steps + 1, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for row, state in zip(out, _propagate(spec, fp, cfg, [traj_index], False)):
+            row[...] = state[:, 0]
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(f"trajectory is not finite at t = {finite.argmin() * cfg.dt}")
+    return out
 
 
 def ensemble_average(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,

@@ -97,7 +97,8 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
     t = float(t)
     if not t >= 0.0:
         raise InvalidInputError("evolution time must be non-negative")
-    m = expm(-2.0 * t * g.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        m = expm(-2.0 * t * g.matrix)
     if not np.isfinite(m).all():
         raise NumericalFailureError(f"matrix exponential is not finite at t = {t}")
     return MuellerMatrix(m, t)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,10 @@ def test_trajectory_index_bounds():
         evolve_trajectory(spec, fp, cfg, -1)
     with pytest.raises(InvalidInputError, match="traj_index"):
         evolve_trajectory(spec, fp, cfg, 100)
+    # a float, even 1.0, is refused rather than truncated
+    for bad in (1.5, 1.0, math.nan, "1", None):
+        with pytest.raises(InvalidInputError, match="traj_index"):
+            evolve_trajectory(spec, fp, cfg, bad)
 
 
 def test_trajectory_memory_cap(monkeypatch):
@@ -307,8 +312,23 @@ def test_workers_validation():
     spec = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0))
     fp = FreePrecession(omega0=1.0)
     cfg = TrajectoryConfig(dt=0.01, n_steps=10, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
-    with pytest.raises(InvalidInputError, match="n_workers"):
-        ensemble_average(spec, fp, cfg, n_workers=0)
+    for bad in (0, 1.5, 2.0, math.nan, "2", None):
+        with pytest.raises(InvalidInputError, match="n_workers"):
+            ensemble_average(spec, fp, cfg, n_workers=bad)
+
+
+def test_non_finite_trajectory_is_a_typed_error():
+    # |F| = 1e200 overflows |v|^2: every row after row 0 is NaN
+    spec = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0), mean=(1e200, 0.0, 0.0))
+    fp = FreePrecession(omega0=0.0)
+    cfg = TrajectoryConfig(dt=0.01, n_steps=3, n_traj=100, seed=1, initial=StokesVector(1.0, 0.0, 0.0))
+    calls = (evolve_trajectory, lambda *args: ensemble_average(*args[:3]),
+             lambda *args: mc_vs_master_report(*args[:3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no raw numpy warning first
+        for call in calls:
+            with pytest.raises(NumericalFailureError, match=r"not finite at t = 0\.01$"):
+                call(spec, fp, cfg, 0)
 
 
 # Process-split tests fake the affinity mask with at most as many CPUs as
@@ -431,46 +451,63 @@ def test_kept_rows_match_the_full_run():
             ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=bad)
 
 
-def _stream(spec, fp, cfg, indices, round_trip, rows):
-    """Every view the kernel yields, copied before the kernel goes on."""
-    views = montecarlo._propagate(spec, fp, cfg, indices, round_trip, np.array(rows))
-    return [view.copy() for view in views]
+def _stream(spec, fp, cfg, indices, round_trip):
+    """Copies of every state the kernel yields, taken before it goes on."""
+    return [state.copy() for state in montecarlo._propagate(spec, fp, cfg, indices, round_trip)]
 
 
 @settings(max_examples=40, deadline=None)
-# row 0, the mirror row 9 and its neighbours, and the last row, in two flushes
-@example(n_steps=9, round_trip=True, chunk=2, slots=3, picks={0, 8, 9, 10, 18}, seed=3)
-# neither row 0 nor the last row: a two-slot buffer, handed on twelve times
-@example(n_steps=12, round_trip=True, chunk=1, slots=2, picks=set(range(1, 24)), seed=2**64 - 1)
-# a one-slot buffer, handed on after every kept row
-@example(n_steps=6, round_trip=True, chunk=2, slots=1, picks={0, 5, 6, 12}, seed=5)
-# one kept row: a one-slot buffer, at either end of the run
-@example(n_steps=7, round_trip=False, chunk=5, slots=2, picks={7}, seed=11)
-@example(n_steps=11, round_trip=False, chunk=3, slots=5, picks={0}, seed=12)
+# row 0, the mirror row 9 and its neighbours, and the last row, in two batches
+@example(n_steps=9, round_trip=True, chunk=2, slots=3, picks={0, 8, 9, 10, 18}, n_traj=300,
+         seed=3)
+# neither row 0 nor the last row: a two-row batch, twelve times
+@example(n_steps=12, round_trip=True, chunk=1, slots=2, picks=set(range(1, 24)), n_traj=300,
+         seed=2**64 - 1)
+# a one-row batch, one Welford pass per kept row
+@example(n_steps=6, round_trip=True, chunk=2, slots=1, picks={0, 5, 6, 12}, n_traj=100, seed=5)
+# one kept row, at either end of the run
+@example(n_steps=7, round_trip=False, chunk=5, slots=2, picks={7}, n_traj=512, seed=11)
+@example(n_steps=11, round_trip=False, chunk=3, slots=5, picks={0}, n_traj=300, seed=12)
 @given(
     n_steps=st.integers(1, 12),
     round_trip=st.booleans(),
     chunk=st.sampled_from([1, 2, 3, 5]),
     slots=st.sampled_from([1, 2, 3, 5]),
     picks=st.sets(st.integers(0, 24), min_size=1),
+    # one short block alone, a full block and a short one, two full blocks
+    n_traj=st.sampled_from([100, 300, 512]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots, picks, seed):
+def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots, picks, n_traj,
+                                              seed):
     spec, fp = SPLIT_CASES["axis3" if round_trip else "off-axis-biased"]
-    cfg = TrajectoryConfig(dt=0.01, n_steps=n_steps, n_traj=100, seed=seed,
+    cfg = TrajectoryConfig(dt=0.01, n_steps=n_steps, n_traj=n_traj, seed=seed,
                            initial=StokesVector(0.3, -0.5, 0.6))
     n_rows = 2 * n_steps + 1 if round_trip else n_steps + 1
     rows = sorted({r % n_rows for r in picks})
-    indices = [4, 0, 7]
-    everything = np.concatenate(_stream(spec, fp, cfg, indices, round_trip, range(n_rows)))
+    full = montecarlo._ensemble(spec, fp, cfg, round_trip, 1)
+    states = _stream(spec, fp, cfg, [4, 0, 7], round_trip)
+    propagate, asked = montecarlo._propagate, []
+
+    def counted(*args):
+        for row, state in enumerate(propagate(*args)):
+            asked.append(row)
+            yield state
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_CHUNK", chunk)
         mp.setattr(montecarlo, "_KEPT_SLOTS", slots)
-        kept = _stream(spec, fp, cfg, indices, round_trip, rows)
-    # the buffer is handed on when it is full and after the last kept row
-    assert [len(view) for view in kept] == [len(rows[i:i + slots])
-                                            for i in range(0, len(rows), slots)]
-    assert np.array_equal(np.concatenate(kept), everything[rows])
+        chunked = _stream(spec, fp, cfg, [4, 0, 7], round_trip)
+        mp.setattr(montecarlo, "_propagate", counted)
+        kept = montecarlo._ensemble(spec, fp, cfg, round_trip, 1, rows=np.array(rows))
+    # the kernel yields every row whatever the chunk; the moments keep some
+    # of them and stop the stream (one group here) at the last kept row
+    assert len(states) == n_rows
+    assert np.array_equal(np.stack(chunked), np.stack(states))
+    assert asked == list(range(rows[-1] + 1))
+    assert np.array_equal(kept.times, full.times[rows])
+    assert np.array_equal(kept.mean_stokes, full.mean_stokes[rows])
+    assert np.array_equal(kept.stderr, full.stderr[rows])
 
 
 def _digest(*arrays):

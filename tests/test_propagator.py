@@ -1,6 +1,7 @@
 """Tests for closed-form and exact Mueller propagators and the double pass."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from fiberpol import (
     DissipativeParams,
     InvalidInputError,
     MuellerMatrix,
+    NumericalFailureError,
     StokesVector,
     UnsupportedConfigurationError,
     backward_mueller,
@@ -179,6 +181,17 @@ def test_negative_time_rejected():
         mueller_exact(gen, -0.1)
     with pytest.raises(InvalidInputError, match="non-negative"):
         mueller_closed_form(p, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("t", [math.inf, 1e308, 400.0])
+def test_exact_overflow_is_a_typed_error(t):
+    # gamma < 0 is not CP: M33 = e^{2 t} overflows by t = 400
+    p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=-1.0)
+    gen = build_generator(p, (0.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no raw numpy warning first
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            mueller_exact(gen, t)
 
 
 NAN_TIME_CALLS = {
