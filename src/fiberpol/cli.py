@@ -51,6 +51,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
     UnsupportedConfigurationError,
+    _checked,
 )
 from .experiment import r_scan
 from .generator import (
@@ -108,21 +110,8 @@ class RunConfig:
 # config schema
 
 
-def _number(value, path: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{path} must be a finite number")
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
-    return value
+#: parsers (value, path) -> value: the library's value rules, named by the path
+_number, _non_negative, _integer = (partial(_checked, r) for r in ("finite", "non-negative", "integer"))
 
 
 def _vec3(value, path: str) -> tuple[float, float, float]:
@@ -164,7 +153,8 @@ _SCHEMA = {
         **{name: (_number, _REQUIRED) for name in ("a", "b", "c", "alpha", "beta", "gamma")},
         "omega": (_omega, _REQUIRED),
     },
-    "times": {"start": (_number, _REQUIRED), "stop": (_number, _REQUIRED),
+    # with start >= 0, stop - start and so the grid stay within the float range
+    "times": {"start": (_non_negative, _REQUIRED), "stop": (_number, _REQUIRED),
               "count": (_integer, _REQUIRED)},
     "trajectory": {
         "dt": (_number, _REQUIRED),
@@ -205,16 +195,11 @@ def _times(value) -> tuple[float, ...]:
             raise ConfigError(f"times.count must be at most {_MAX_GRID_POINTS}")
         if not stop > start:
             raise ConfigError("times.stop must exceed times.start")
-        # refused before expanding: with start >= 0, stop - start cannot overflow
-        if start < 0.0:
-            raise ConfigError("times must be non-negative")
         times = np.linspace(start, stop, count).tolist()
     elif isinstance(value, list):
         if not value:
             raise ConfigError("times must not be empty")
-        times = [_number(v, f"times[{i}]") for i, v in enumerate(value)]
-        if times[0] < 0.0:
-            raise ConfigError("times must be non-negative")
+        times = [_non_negative(v, f"times[{i}]") for i, v in enumerate(value)]
     else:
         raise ConfigError("times must be a list of numbers or {start, stop, count}")
     for earlier, later in zip(times, times[1:]):
@@ -444,7 +429,7 @@ def _mode_experiment(cfg: RunConfig):
     params, omega = _generator_pieces(cfg)
     if abs(omega[0]) > TOL or abs(omega[1]) > TOL:
         raise ConfigError("experiment mode requires precession about axis 3")
-    scan = r_scan(params, float(omega[2]), cfg.times)
+    scan = r_scan(params, omega[2], cfg.times)
     for t in scan.singular_times:
         _diagnostic(
             "warning",

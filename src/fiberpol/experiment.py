@@ -33,6 +33,8 @@ from .errors import (
     NumericalFailureError,
     SingularConfigurationError,
     UnsupportedConfigurationError,
+    _checked,
+    _require_finite,
 )
 from .generator import DissipativeParams
 from .propagator import _closed_form
@@ -121,10 +123,12 @@ def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResu
     :class:`SingularConfigurationError` when the linear probe's second
     Stokes component vanishes at t (a zero of sin(2 Omega t)) or the
     circular probe's third component underflows, and
-    :class:`NumericalFailureError` when R or its exponential is not finite.
+    :class:`NumericalFailureError` when R, its exponential or a probe's
+    Stokes vector is not finite.
     """
-    t = float(t)
-    forward, plus_double, r_value, r_closed, cp_verdict = _r_point(p, float(omega), t)
+    t, omega = float(t), _checked("finite", omega, "omega")
+    forward, plus_double, r_value, r_closed, cp_verdict = _r_point(p, omega, t)
+    _require_finite((forward[:, 0], plus_double, forward[:, 2]), f"a probe's Stokes vector at t = {t}")
     return ExperimentResult(
         t=t,
         r_value=r_value,
@@ -153,7 +157,7 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
 
 def r_scan(p: DissipativeParams, omega: float, times) -> RScanResult:
     """Evaluate R over a time grid, flagging singular points instead of failing."""
-    omega = float(omega)
+    omega = _checked("finite", omega, "omega")
     rows: list[tuple] = []
     singular: list[float] = []
     for t in times:

@@ -24,19 +24,20 @@ here; classifying them is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CP_TOL, TOL, InvalidInputError, frozen_array
+from .errors import CP_TOL, TOL, InvalidInputError, _Validated, _require_finite, frozen_array
 from .states import PAULI, DensityMatrix
 
 
 @dataclass(frozen=True)
-class DissipativeParams:
+class DissipativeParams(_Validated):
     """The six dissipative coefficients (a, b, c, alpha, beta, gamma).
 
-    All real values are accepted: sets violating complete positivity are
+    All finite values are accepted: sets violating complete positivity are
     deliberately representable.
     """
 
@@ -47,9 +48,7 @@ class DissipativeParams:
     beta: float
     gamma: float
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "alpha", "beta", "gamma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    _rules = dict.fromkeys(("a", "b", "c", "alpha", "beta", "gamma"), "finite")
 
 
 @dataclass(frozen=True)
@@ -60,23 +59,21 @@ class KossakowskiMatrix:
 
     def __post_init__(self):
         m = frozen_array(self.matrix, (3, 3), "Kossakowski matrix must be 3x3")
-        if np.max(np.abs(m - m.T)) > TOL:
+        if not np.max(np.abs(m - m.T)) <= TOL:
             raise InvalidInputError("Kossakowski matrix must be symmetric within 1e-12")
         object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(_Validated):
     """Bloch-equation generator H together with the precession vector it embeds."""
 
     matrix: np.ndarray
     omega: np.ndarray
 
-    def __post_init__(self):
-        m = frozen_array(self.matrix, (3, 3), "generator must be 3x3")
-        w = frozen_array(self.omega, (3,), "precession vector must have 3 components")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "omega", w)
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="generator must be 3x3"),
+              "omega": partial(frozen_array, shape=(3,),
+                               message="precession vector must have 3 components")}
 
 
 class CPResiduals(NamedTuple):
@@ -99,7 +96,7 @@ def _rst(p: DissipativeParams) -> tuple[float, float, float]:
 
 def kossakowski_from_params(p: DissipativeParams) -> KossakowskiMatrix:
     """Kossakowski matrix of a parameter set."""
-    r, s, t = _rst(p)
+    r, s, t = _require_finite(_rst(p), "Kossakowski matrix")
     return KossakowskiMatrix(
         np.array(
             [
@@ -114,21 +111,15 @@ def kossakowski_from_params(p: DissipativeParams) -> KossakowskiMatrix:
 def params_from_kossakowski(k) -> DissipativeParams:
     """Dissipative parameters of a symmetric coefficient matrix.
 
-    Accepts a :class:`KossakowskiMatrix` or a raw 3x3 array; raw input is
-    validated for symmetry within 1e-12.  Exact inverse of
-    :func:`kossakowski_from_params` up to rounding.
+    Accepts a :class:`KossakowskiMatrix` or a raw 3x3 array; raw input is validated
+    for symmetry within 1e-12.  Exact inverse of :func:`kossakowski_from_params` up
+    to rounding; a sum beyond the float range raises NumericalFailureError.
     """
     if not isinstance(k, KossakowskiMatrix):
         k = KossakowskiMatrix(k)
     m = k.matrix
-    return DissipativeParams(
-        a=m[1, 1] + m[2, 2],
-        b=-m[0, 1],
-        c=-m[0, 2],
-        alpha=m[0, 0] + m[2, 2],
-        beta=-m[1, 2],
-        gamma=m[0, 0] + m[1, 1],
-    )
+    values = (m[1, 1] + m[2, 2], -m[0, 1], -m[0, 2], m[0, 0] + m[2, 2], -m[1, 2], m[0, 0] + m[1, 1])
+    return DissipativeParams(*_require_finite(values, "dissipative parameter set"))
 
 
 def build_generator(p: DissipativeParams, omega) -> GeneratorMatrix:

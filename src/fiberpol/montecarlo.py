@@ -59,13 +59,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, InvalidInputError, NumericalFailureError, frozen_array
+from .errors import TOL, InvalidInputError, NumericalFailureError, _Validated, _checked, frozen_array
 from .generator import build_generator
 from .noise import FreePrecession, NoiseSpec, _averaged_dynamics, _require_axis3_zero_mean
 from .propagator import mueller_exact
@@ -93,17 +92,9 @@ _MAX_TRAJ_STEPS = 10**10
 _MAX_MOMENT_BYTES = 2**30
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a float, even 5.0, is refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer") from None
-
-
 @dataclass(frozen=True)
-class TrajectoryConfig:
-    """Discretization and ensemble-size choices for a stochastic run."""
+class TrajectoryConfig(_Validated):
+    """Discretization and ensemble-size choices for a stochastic run; dt finite and > 0."""
 
     dt: float
     n_steps: int
@@ -111,14 +102,12 @@ class TrajectoryConfig:
     seed: int
     initial: StokesVector
 
+    _rules = {"dt": "positive", "n_steps": "integer", "n_traj": "integer", "seed": "integer"}
+
     def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        for name in ("n_steps", "n_traj", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        super().__post_init__()
         if not isinstance(self.initial, StokesVector):
             object.__setattr__(self, "initial", StokesVector.from_array(self.initial))
-        if not self.dt > 0.0:
-            raise InvalidInputError("dt must be positive")
         if self.n_steps < 1:
             raise InvalidInputError("n_steps must be at least 1")
         if self.n_traj < 100:
@@ -143,7 +132,7 @@ class TrajectoryConfig:
 
 
 @dataclass(frozen=True)
-class EnsembleTrajectory:
+class EnsembleTrajectory(_Validated):
     """Ensemble means of the Stokes components with their standard errors."""
 
     times: np.ndarray
@@ -151,13 +140,11 @@ class EnsembleTrajectory:
     stderr: np.ndarray
     n_traj: int
 
-    def __post_init__(self):
-        for name in ("times", "mean_stokes", "stderr"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+    _rules = dict.fromkeys(("times", "mean_stokes", "stderr"), frozen_array)
 
 
 @dataclass(frozen=True)
-class MCComparisonReport:
+class MCComparisonReport(_Validated):
     """Componentwise z-scores of ensemble means against the averaged dynamics."""
 
     times: np.ndarray
@@ -168,9 +155,7 @@ class MCComparisonReport:
     max_abs_z: float
     frac_above_3: float
 
-    def __post_init__(self):
-        for name in ("times", "mc_mean", "mc_stderr", "master", "z"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+    _rules = dict.fromkeys(("times", "mc_mean", "mc_stderr", "master", "z"), frozen_array)
 
 
 def _ou_coefficients(g, lam, dt):
@@ -196,17 +181,14 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
              + sqrt(g (1 - e^{-2 lam dt})) noise,
 
     which reproduces the transition law of the process exactly for any
-    dt: no Euler bias.  The stationary variance is g.  Scalars and
-    arrays broadcast alike.
+    dt: no Euler bias.  The stationary variance is g.  Scalars and arrays
+    broadcast alike; each entry obeys the rules of NoiseSpec and TrajectoryConfig.
     """
-    g = np.asarray(g, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(g >= 0.0):
-        raise InvalidInputError("g must be non-negative")
-    if not np.all(lam > 0.0):
-        raise InvalidInputError("lam must be positive")
-    if not dt > 0.0:
-        raise InvalidInputError("dt must be positive")
+    for name, rule, value in (("g", "non-negative", g), ("lam", "positive", lam),
+                              ("dt", "positive", dt), ("mean", "finite", mean)):
+        for x in (np.min(value), np.max(value)):  # the extremes: NaN propagates to both
+            _checked(rule, x, name)
+    g, lam = np.asarray(g, dtype=float), np.asarray(lam, dtype=float)
     decay, sigma = _ou_coefficients(g, lam, dt)
     field = np.array(np.broadcast_arrays(f_prev, g, lam, noise, mean)[0], dtype=float)
     _ou_relax(field, mean, decay, sigma * noise)
@@ -424,7 +406,7 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
 
 def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> EnsembleTrajectory:
     cfg.check_resolution(spec, fp)
-    n_workers = _integer("n_workers", n_workers)
+    n_workers = _checked("integer", n_workers, "n_workers")
     if n_workers < 1:
         raise InvalidInputError("n_workers must be at least 1")
     n_rows = 2 * cfg.n_steps + 1 if round_trip else cfg.n_steps + 1
@@ -487,7 +469,7 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
     The realization depends only on (seed, traj_index).  A row that is
     not finite raises NumericalFailureError.
     """
-    traj_index = _integer("traj_index", traj_index)
+    traj_index = _checked("integer", traj_index, "traj_index")
     if not 0 <= traj_index < cfg.n_traj:
         raise InvalidInputError("traj_index must lie in [0, n_traj)")
     cfg.check_resolution(spec, fp)

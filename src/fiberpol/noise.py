@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
     UnsupportedConfigurationError,
+    _Validated,
+    _require_finite,
     frozen_array,
 )
 from .generator import DissipativeParams, params_from_kossakowski
@@ -41,67 +44,45 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Validated):
     """Per-axis Ornstein-Uhlenbeck noise parameters.
 
     Parameters
     ----------
-    g : three mean-square strengths G_i >= 0 (1/time^2).
-    lam : three inverse correlation times lam_i > 0 (1/time).
-    mean : three mean field values <F_i> (1/time), zero by default.
+    g : three finite mean-square strengths G_i >= 0 (1/time^2).
+    lam : three finite inverse correlation times lam_i > 0 (1/time).
+    mean : three finite mean field values <F_i> (1/time), zero by default.
     """
 
     g: tuple[float, float, float]
     lam: tuple[float, float, float]
     mean: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        g = tuple(float(v) for v in self.g)
-        lam = tuple(float(v) for v in self.lam)
-        mean = tuple(float(v) for v in self.mean)
-        if len(g) != 3 or len(lam) != 3 or len(mean) != 3:
-            raise InvalidInputError("g, lam and mean must each have 3 components")
-        for i, v in enumerate(g):
-            if not v >= 0.0:
-                raise InvalidInputError(f"g[{i}] must be non-negative")
-        for i, v in enumerate(lam):
-            if not v > 0.0:
-                raise InvalidInputError(f"lam[{i}] must be positive")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mean", mean)
+    _rules = {"g": ("non-negative",) * 3, "lam": ("positive",) * 3, "mean": ("finite",) * 3}
 
 
 @dataclass(frozen=True)
-class FreePrecession:
-    """Deterministic precession at angular frequency omega0 about the unit axis n."""
+class FreePrecession(_Validated):
+    """Deterministic precession at finite angular frequency omega0 about the unit axis n."""
 
     omega0: float
     n: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
+    _rules = {"omega0": "finite", "n": ("finite",) * 3}
+
     def __post_init__(self):
-        n = tuple(float(v) for v in self.n)
-        if len(n) != 3:
-            raise InvalidInputError("precession axis n must have 3 components")
-        try:
-            norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
-        except OverflowError:  # a component beyond ~1e154 squares past the float range
-            norm = math.inf
-        if abs(norm - 1.0) > TOL:
+        super().__post_init__()
+        if not abs(math.hypot(*self.n) - 1.0) <= TOL:
             raise InvalidInputError("precession axis n must be a unit vector within 1e-12")
-        object.__setattr__(self, "omega0", float(self.omega0))
-        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
-class CMatrix:
+class CMatrix(_Validated):
     """Damping-coefficient matrix C (not symmetrized)."""
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        m = frozen_array(self.matrix, (3, 3), "C matrix must be 3x3")
-        object.__setattr__(self, "matrix", m)
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="C matrix must be 3x3")}
 
     def symmetric_part(self) -> np.ndarray:
         """C + C^T, the Kossakowski coefficient matrix of the dissipator."""
@@ -233,14 +214,15 @@ def c_matrix_quadrature(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
 def _averaged_dynamics(spec: NoiseSpec, fp: FreePrecession):
     """(DissipativeParams, omega 3-vector) of the averaged dynamics, from one damping matrix.
 
-    The dissipative parameters come from the symmetric part C + C^T; the
-    precession vector is the one :func:`effective_hamiltonian` documents.
+    The parameters come from C + C^T, the vector as :func:`effective_hamiltonian`
+    documents; either beyond the float range raises NumericalFailureError.
     """
     c = c_matrix_closed(spec, fp)
     m = c.matrix
     shift = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
     omega = 0.5 * fp.omega0 * np.array(fp.n) + np.array(spec.mean) + shift
-    return params_from_kossakowski(c.symmetric_part()), omega
+    params = params_from_kossakowski(_require_finite(c.symmetric_part(), "damping matrix"))
+    return params, _require_finite(omega, "precession vector")
 
 
 def effective_hamiltonian(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
@@ -283,16 +265,11 @@ def simplified_params(spec: NoiseSpec, fp: FreePrecession):
     g3 = spec.g[2]
     w1, w2, _ = lambda_weights(spec, fp)
     omega0 = fp.omega0
-    params = DissipativeParams(
-        a=2.0 * lam2 * w2 + 2.0 * g3 / lam3,
-        b=omega0 * (w2 - w1),
-        c=0.0,
-        alpha=2.0 * lam1 * w1 + 2.0 * g3 / lam3,
-        beta=0.0,
-        gamma=2.0 * lam1 * w1 + 2.0 * lam2 * w2,
-    )
+    a, b = 2.0 * lam2 * w2 + 2.0 * g3 / lam3, omega0 * (w2 - w1)
+    alpha, gamma = 2.0 * lam1 * w1 + 2.0 * g3 / lam3, 2.0 * lam1 * w1 + 2.0 * lam2 * w2
     omega = 0.5 * omega0 + omega0 * (w1 + w2)
-    return params, omega
+    _require_finite((a, b, alpha, gamma, omega), "simplified parameter set")
+    return DissipativeParams(a, b, 0.0, alpha, 0.0, gamma), omega
 
 
 def noise_cp_condition(spec: NoiseSpec, fp: FreePrecession) -> float:

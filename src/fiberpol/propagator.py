@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,6 +37,9 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
     UnsupportedConfigurationError,
+    _Validated,
+    _checked,
+    _require_finite,
     frozen_array,
 )
 from .generator import DissipativeParams, GeneratorMatrix
@@ -46,22 +50,23 @@ _SERIES_Z = 4e-8
 
 
 @dataclass(frozen=True)
-class MuellerMatrix:
-    """Reduced 3x3 Mueller matrix at a fixed evolution time."""
+class MuellerMatrix(_Validated):
+    """Reduced 3x3 Mueller matrix at a fixed, finite evolution time."""
 
     matrix: np.ndarray
     t: float
 
-    def __post_init__(self):
-        m = frozen_array(self.matrix, (3, 3), "Mueller matrix must be 3x3")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "t", float(self.t))
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="Mueller matrix must be 3x3"),
+              "t": "finite"}
 
     def apply(self, s: StokesVector) -> StokesVector:
-        return StokesVector.from_array(self.matrix @ s.as_array())
+        """The propagated Stokes vector; NumericalFailureError if it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out = self.matrix @ s.as_array()
+        return StokesVector.from_array(_require_finite(out, f"Stokes vector at t = {self.t}"))
 
     def __matmul__(self, other: "MuellerMatrix") -> "MuellerMatrix":
-        return MuellerMatrix(self.matrix @ other.matrix, self.t + other.t)
+        return MuellerMatrix(self.matrix @ other.matrix, _require_finite(self.t + other.t, "time"))
 
 
 def _damped_trig(decay_rate: float, omega_sq: float, t: float) -> tuple[float, float]:
@@ -138,7 +143,7 @@ def mueller_closed_form(p: DissipativeParams, omega: float, t: float) -> Mueller
     :func:`mueller_exact` for those.  Requires t >= 0.
     """
     t = float(t)
-    return MuellerMatrix(_closed_form(p, p.b, float(omega), t), t)
+    return MuellerMatrix(_closed_form(p, p.b, _checked("finite", omega, "omega"), t), t)
 
 
 def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMatrix:
@@ -150,7 +155,7 @@ def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMat
     round trip is backward_mueller @ mueller_closed_form.
     """
     t = float(t)
-    return MuellerMatrix(_closed_form(p, -p.b, -float(omega), t), t)
+    return MuellerMatrix(_closed_form(p, -p.b, -_checked("finite", omega, "omega"), t), t)
 
 
 def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) -> StokesVector:
@@ -162,7 +167,9 @@ def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) 
     """
     if not s0.is_physical():
         raise InvalidInputError("initial Stokes vector exceeds the unit ball beyond 1e-12")
-    t, omega = float(t), float(omega)
+    t, omega = float(t), _checked("finite", omega, "omega")
     forward = _closed_form(p, p.b, omega, t)
     backward = _closed_form(p, -p.b, -omega, t)
-    return StokesVector.from_array(backward @ (forward @ s0.as_array()))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = backward @ (forward @ s0.as_array())
+    return StokesVector.from_array(_require_finite(out, f"double-pass Stokes vector at t = {t}"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, InvalidInputError, frozen_array
+from .errors import TOL, InvalidInputError, _Validated, _require_finite, frozen_array
 
 #: Pauli matrices in the circular basis; PAULI[i - 1] is sigma_i.
 PAULI = np.array(
@@ -29,29 +29,27 @@ PAULI = np.array(
 PAULI.setflags(write=False)
 
 @dataclass(frozen=True)
-class PureStateAngles:
+class PureStateAngles(_Validated):
     """Polar parametrization of a pure state, cos(theta)|+> + e^{i phi} sin(theta)|->.
 
     The kets |+-> are the horizontal/vertical linear-polarization pair.
     theta in [0, pi/2] with phi in [0, 2 pi) covers every pure state once;
-    arbitrary real angles are accepted and map onto the same projector as
+    arbitrary finite angles are accepted and map onto the same projector as
     their canonical representatives.
     """
 
     theta: float
     phi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
+    _rules = {"theta": "finite", "phi": "finite"}
 
 
 @dataclass(frozen=True)
-class StokesVector:
+class StokesVector(_Validated):
     """Reduced Stokes (Bloch) 3-vector of a polarization state.
 
     Physical states have squared norm at most 1 (pure states exactly 1).
-    Unphysical vectors are representable on purpose: propagators of
+    Unphysical finite vectors are representable on purpose: propagators of
     non-completely-positive generators can produce them, and detecting
     that is one of the package's jobs.
     """
@@ -60,10 +58,7 @@ class StokesVector:
     rho2: float
     rho3: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho1", float(self.rho1))
-        object.__setattr__(self, "rho2", float(self.rho2))
-        object.__setattr__(self, "rho3", float(self.rho3))
+    _rules = {"rho1": "finite", "rho2": "finite", "rho3": "finite"}
 
     @classmethod
     def from_array(cls, values) -> "StokesVector":
@@ -78,10 +73,8 @@ class StokesVector:
 
     def is_physical(self) -> bool:
         """True when the squared norm is at most 1 + 1e-12."""
-        try:
-            return self.rho1**2 + self.rho2**2 + self.rho3**2 <= 1.0 + TOL
-        except OverflowError:  # a component beyond ~1e154 squares past the float range
-            return False
+        # products, not powers: a square past the float range is inf, not an OverflowError
+        return self.rho1 * self.rho1 + self.rho2 * self.rho2 + self.rho3 * self.rho3 <= 1.0 + TOL
 
 
 @dataclass(frozen=True)
@@ -97,13 +90,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = frozen_array(self.matrix, (2, 2), "density matrix must be 2x2", dtype=complex)
-        if (
-            abs(m[0, 1] - np.conj(m[1, 0])) > TOL
-            or abs(m[0, 0].imag) > TOL
-            or abs(m[1, 1].imag) > TOL
-        ):
+        gaps = [abs(m[0, 1] - np.conj(m[1, 0])), abs(m[0, 0].imag), abs(m[1, 1].imag)]
+        if not np.max(gaps) <= TOL:  # np.max, unlike max, carries NaN through
             raise InvalidInputError("density matrix is not Hermitian within 1e-12")
-        if abs(m[0, 0] + m[1, 1] - 1.0) > TOL:
+        if not abs(m[0, 0] + m[1, 1] - 1.0) <= TOL:
             raise InvalidInputError("density matrix trace differs from 1 beyond 1e-12")
         object.__setattr__(self, "matrix", m)
 
@@ -157,7 +147,7 @@ def stokes_from_density(d) -> StokesVector:
     r1 = (m[0, 1] + m[1, 0]).real
     r2 = (1j * (m[0, 1] - m[1, 0])).real
     r3 = (m[0, 0] - m[1, 1]).real
-    return StokesVector(r1, r2, r3)
+    return StokesVector(*_require_finite((r1, r2, r3), "Stokes vector of the density matrix"))
 
 
 def purity(s: StokesVector) -> float:

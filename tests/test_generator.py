@@ -55,6 +55,14 @@ def test_kossakowski_accepts_raw_symmetric_only():
         KossakowskiMatrix(np.eye(2))
 
 
+def test_kossakowski_nan_entries_are_not_symmetric():
+    for entry in ((0, 1), (2, 2)):
+        m = np.eye(3)
+        m[entry] = np.nan
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            KossakowskiMatrix(m)
+
+
 def test_residual_sign_matches_eigenvalue_sign():
     rng = np.random.default_rng(303)
     checked = 0

@@ -69,6 +69,17 @@ def test_ou_step_validation():
         ou_step(0.0, [0.1, math.nan], 1.0, 0.1, 0.5)
     with pytest.raises(InvalidInputError, match="lam must be positive"):
         ou_step(0.0, 1.0, math.nan, 0.1, 0.5)
+    # the rules of NoiseSpec and TrajectoryConfig: +-inf is refused too
+    with pytest.raises(InvalidInputError, match="dt must be a finite number"):
+        ou_step(0.0, 1.0, 1.0, math.inf, 0.5)
+    with pytest.raises(InvalidInputError, match="g must be a finite number"):
+        ou_step(0.0, [0.1, math.inf], 1.0, 0.1, 0.5)
+    with pytest.raises(InvalidInputError, match="lam must be a finite number"):
+        ou_step(0.0, 1.0, 10**400, 0.1, 0.5)
+    with pytest.raises(InvalidInputError, match="mean must be a finite number"):
+        ou_step(0.0, 1.0, 1.0, 0.1, 0.5, mean=math.nan)
+    with pytest.raises(InvalidInputError, match="mean must be a finite number"):
+        ou_step(0.0, 1.0, 1.0, 0.1, 0.5, mean=[0.0, -math.inf])
 
 
 def test_ou_step_stationary_moments():

@@ -51,6 +51,11 @@ def test_free_precession_validation():
         FreePrecession(omega0=1.0, n=(1e200, 0.0, 0.0))
     with pytest.raises(InvalidInputError, match="3 components"):
         FreePrecession(omega0=1.0, n=(1.0, 0.0))
+    # NaN has no norm: it fails the finite rule before the unit-norm band
+    with pytest.raises(InvalidInputError, match=r"n\[0\] must be a finite number"):
+        FreePrecession(omega0=1.0, n=(math.nan, 0.0, 1.0))
+    with pytest.raises(InvalidInputError, match="omega0 must be a finite number"):
+        FreePrecession(omega0=math.nan)
 
 
 def test_correlation_values():

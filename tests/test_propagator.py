@@ -211,6 +211,24 @@ def test_nan_time_rejected(call):
         call(p, math.nan)
 
 
+NON_FINITE_OMEGA_CALLS = {
+    "mueller_closed_form": lambda p, omega: mueller_closed_form(p, omega, 0.5),
+    "backward_mueller": lambda p, omega: backward_mueller(p, omega, 0.5),
+    "double_pass": lambda p, omega: double_pass(p, omega, 0.5, StokesVector(1.0, 0.0, 0.0)),
+    "r_observable": lambda p, omega: r_observable(p, omega, 0.5),
+    "r_scan": lambda p, omega: r_scan(p, omega, [0.5, 0.7]),
+}
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("call", NON_FINITE_OMEGA_CALLS.values(), ids=NON_FINITE_OMEGA_CALLS)
+def test_non_finite_omega_rejected(call, omega):
+    p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
+    with pytest.raises(InvalidInputError, match="^omega must be a finite number$"):
+        call(p, omega)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     p=CP_TRANSVERSE,

@@ -114,6 +114,16 @@ def test_density_validation():
         DensityMatrix(np.eye(3))
 
 
+def test_density_nan_entries_fail_the_tolerance_checks():
+    # NaN compares false both ways, so each check reads "within the band"
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]]))
+    with pytest.raises(InvalidInputError, match="trace"):
+        DensityMatrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        DensityMatrix(np.array([[complex(0.5, math.nan), 0.0], [0.0, 0.5]]))
+
+
 def test_unphysical_density_is_representable():
     # positivity is a query, not a construction constraint
     dm = density_from_stokes(StokesVector(1.2, 0.0, 0.0))
