@@ -195,7 +195,8 @@ def _times(value) -> tuple[float, ...]:
             raise ConfigError(f"times.count must be at most {_MAX_GRID_POINTS}")
         if not stop > start:
             raise ConfigError("times.stop must exceed times.start")
-        times = np.linspace(start, stop, count).tolist()
+        with np.errstate(over="ignore"):  # only the last point overflows, and it is set to stop
+            times = np.linspace(start, stop, count).tolist()
     elif isinstance(value, list):
         if not value:
             raise ConfigError("times must not be empty")

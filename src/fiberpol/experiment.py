@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CP_TOL,
     TOL,
@@ -114,6 +116,8 @@ def _r_point(p: DissipativeParams, omega: float, t: float):
     return forward, plus_double, r_value, r_closed, r_value <= 1.0 + CP_TOL
 
 
+# an overflow reaches the finiteness checks as inf or nan, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResult:
     """Evaluate R at one time from propagated Stokes components.
 
@@ -155,6 +159,7 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
     return RelaxationTimes(t1=1.0 / p.gamma, t2=1.0 / p.alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in r_observable
 def r_scan(p: DissipativeParams, omega: float, times) -> RScanResult:
     """Evaluate R over a time grid, flagging singular points instead of failing."""
     omega = _checked("finite", omega, "omega")

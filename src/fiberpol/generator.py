@@ -53,14 +53,14 @@ class DissipativeParams(_Validated):
 
 @dataclass(frozen=True)
 class KossakowskiMatrix:
-    """Symmetric 3x3 coefficient matrix of the dissipator (tolerance 1e-12)."""
+    """Finite, symmetric 3x3 coefficient matrix of the dissipator (tolerance 1e-12)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = frozen_array(self.matrix, (3, 3), "Kossakowski matrix must be 3x3")
-        if not np.max(np.abs(m - m.T)) <= TOL:
-            raise InvalidInputError("Kossakowski matrix must be symmetric within 1e-12")
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= TOL):
+            raise InvalidInputError("Kossakowski matrix must be finite and symmetric within 1e-12")
         object.__setattr__(self, "matrix", m)
 
 
@@ -122,9 +122,17 @@ def params_from_kossakowski(k) -> DissipativeParams:
     return DissipativeParams(*_require_finite(values, "dissipative parameter set"))
 
 
+def _precession_vector(omega) -> np.ndarray:
+    """omega as a read-only 3-vector; InvalidInputError unless its components are finite."""
+    w = frozen_array(omega, (3,), "precession vector must have 3 components")
+    if not np.isfinite(w).all():
+        raise InvalidInputError("precession vector must be finite")
+    return w
+
+
 def build_generator(p: DissipativeParams, omega) -> GeneratorMatrix:
     """Assemble H from dissipative parameters and a precession 3-vector."""
-    w = frozen_array(omega, (3,), "precession vector must have 3 components")
+    w = _precession_vector(omega)
     m = np.array(
         [
             [p.a, p.b + w[2], p.c - w[1]],
@@ -175,7 +183,7 @@ def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
     equal -2 H r with H from :func:`build_generator`; the test suite
     checks the two routes against each other.
     """
-    w = frozen_array(omega, (3,), "precession vector must have 3 components")
+    w = _precession_vector(omega)
     rho = d.matrix
     ham = w[0] * PAULI[0] + w[1] * PAULI[1] + w[2] * PAULI[2]
     out = -1j * (ham @ rho - rho @ ham)

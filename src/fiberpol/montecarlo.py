@@ -16,12 +16,15 @@ Determinism contract
 --------------------
 Trajectory j draws all of its normals from a counter-based Philox
 stream keyed by (seed, j), independent of every other trajectory and of
-how work is scheduled.  Moments are accumulated in fixed-size blocks
-(_BLOCK = 256 trajectories); each block accumulates running mean and
-squared-deviation moments in trajectory order, and blocks are merged in
-block order, so ensemble means and standard errors are bit-identical at
-a fixed seed.  The running-moment form also keeps the variance of an
-ensemble of identical trajectories at exactly zero, which the zero-noise
+how work is scheduled.  Moments are taken in fixed-size blocks
+(_BLOCK = 256 trajectories) by a shifted two-pass: the deviations from the
+block's first trajectory are summed into the mean, and the squared
+deviations from that mean into the second moment, each sum in numpy's
+pairwise order over the block's contiguous columns.  Blocks are merged in
+block order, their means taken less the run's first trajectory.  The bits
+rest on that fixed order alone, so ensemble means and standard errors are
+bit-identical at a fixed seed.  Every deviation among identical
+trajectories is exactly zero, so is their variance, which the zero-noise
 limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
@@ -46,9 +49,9 @@ relaxes F to time k dt.  Rows after row 0 are drawn _CHUNK at a time, the
 same values as one (n_steps + 1, 3) draw, and scaled in place.  The
 kernel is a plain stream: it yields its one state, updated in place, at
 row 0 and after every step.  The moments alone pick the kept rows: they
-copy each into a batch of at most _KEPT_SLOTS rows, transpose the batch
-trajectory-major and run their Welford pass when it is full and after the
-last kept row, where the stream stops.
+copy each into a batch of at most _KEPT_SLOTS rows and take every block's
+two-pass over its columns of the batch when it is full and after the last
+kept row, where the stream stops.
 Memory holds one chunk of normals whatever n_steps, and the work after
 propagation scales with the kept rows.  A round trip draws a second
 sequence for the return pass, a fresh stationary realization, not a
@@ -75,7 +78,7 @@ _BLOCK = 256
 _GROUP_BLOCKS = 8
 #: steps whose normals are drawn at a time
 _CHUNK = 128
-#: kept rows the moments batch for one Welford pass
+#: kept rows the moments batch for one two-pass
 _KEPT_SLOTS = 64
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
@@ -86,9 +89,9 @@ _REPORT_ROWS = 20
 #: trajectory-steps (n_traj * n_steps, doubled for a round trip) a run may
 #: take: about 20 minutes on two cores
 _MAX_TRAJ_STEPS = 10**10
-#: bytes of float64 block moments (mean and squared deviations of every
-#: kept row in every block) a run may hold, and of the rows that
-#: evolve_trajectory returns
+#: bytes of float64 block moments (first trajectory, shift and squared
+#: deviations of every kept row in every block) a run may hold, and of the
+#: rows that evolve_trajectory returns
 _MAX_MOMENT_BYTES = 2**30
 
 
@@ -201,7 +204,7 @@ def _traj_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-               indices: list[int], round_trip: bool):
+               indices: list[int] | range, round_trip: bool):
     """Advance the given trajectories side by side, one draw chunk at a time.
 
     States are component-major, shape (3, width): column p holds trajectory
@@ -282,28 +285,23 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                    j0: int, j1: int, round_trip: bool, keep: np.ndarray):
-    """Welford moments of each _BLOCK-trajectory block in [j0, j1), in block order.
+    """Moments (size, first, shift, m2) of each _BLOCK-trajectory block in [j0, j1).
 
-    Moments are kept for the rows in keep, an increasing index array.  Kept
-    rows of the stream fill a batch of at most _KEPT_SLOTS rows; when it is
-    full or holds the last kept row, each block takes its running mean and
-    squared deviations in trajectory order, vectorised across blocks and
-    rows, so an ensemble of identical trajectories gives exactly zero.
+    For the rows in keep, an increasing index array: the block's first
+    trajectory, its mean less that one, and its squared deviations from the
+    mean.  Kept rows of the stream fill a batch of at most _KEPT_SLOTS rows;
+    when it is full or holds the last kept row, each block takes the shifted
+    two-pass of Chan, Golub & LeVeque (1983) over its own contiguous columns,
+    so every sum runs in numpy's pairwise order for the block's length, and
+    identical trajectories give exactly zero.
     """
-    full, tail = divmod(j1 - j0, _BLOCK)
-    nb = full + (tail > 0)
-    # columns run trajectory-major: trajectory k of every block still
-    # filling, then trajectory k + 1; only the last block can be short
-    order = [j0 + b * _BLOCK + k for k in range(_BLOCK) for b in range(nb)
-             if b * _BLOCK + k < j1 - j0]
-    # block index last, so every update below is one contiguous sweep
-    mean, m2 = np.empty((2, len(keep), 3, nb))
+    starts = range(0, j1 - j0, _BLOCK)
+    first, shift, m2 = np.empty((3, len(starts), len(keep), 3))
     span = min(len(keep), _KEPT_SLOTS)
-    batch = np.empty((span, 3, len(order)))  # kept rows as the stream yields them
-    by_traj = np.empty((_BLOCK, span, 3, nb))  # by_traj[k, r, :, b]: trajectory k of block b
+    batch = np.empty((span, 3, j1 - j0))  # kept rows as the stream yields them
     i_keep = 0  # the next kept row's index in keep
     # the stream stops at the last kept row
-    for row, state in zip(range(keep[-1] + 1), _propagate(spec, fp, cfg, order, round_trip)):
+    for row, state in zip(range(keep[-1] + 1), _propagate(spec, fp, cfg, range(j0, j1), round_trip)):
         if row != keep[i_keep]:
             continue
         batch[i_keep % span] = state
@@ -311,31 +309,15 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
         if i_keep % span and i_keep < len(keep):
             continue
         c = (i_keep - 1) % span + 1  # rows in the batch
-        # transposed once per batch: a transposing copy per row is slower
-        x = by_traj[:, :c]
-        x[:tail] = batch[:c, :, :tail * nb].reshape(c, 3, tail, nb).transpose(2, 0, 1, 3)
-        x[tail:, ..., :full] = (
-            batch[:c, :, tail * nb:].reshape(c, 3, _BLOCK - tail, full).transpose(2, 0, 1, 3)
-        )
-        m, s = mean[i_keep - c:i_keep], m2[i_keep - c:i_keep]
-        m[...] = x[0]
-        s[...] = 0.0
-        d, t = np.empty((2, c, 3, nb))
-        for k in range(1, _BLOCK):
-            if k == tail:
-                # the short block is complete: carry on with the full ones
-                if not full:
-                    break
-                x, m, s, d, t = (a[..., :full] for a in (x, m, s, d, t))
-            xk = x[k]
-            np.subtract(xk, m, out=d)
-            np.divide(d, k + 1, out=t)
-            m += t
-            np.subtract(xk, m, out=t)
-            t *= d
-            s += t
-    sizes = [_BLOCK] * full + ([tail] if tail else [])
-    return [(size, mean[..., b], m2[..., b]) for b, size in enumerate(sizes)]
+        for b, lo in enumerate(starts):
+            x = batch[:c, :, lo:lo + _BLOCK]
+            d = x - x[..., :1]
+            s = d.mean(axis=-1)
+            first[b, i_keep - c:i_keep], shift[b, i_keep - c:i_keep] = x[..., 0], s
+            d -= s[..., None]
+            d *= d
+            m2[b, i_keep - c:i_keep] = d.sum(axis=-1)
+    return [(min(_BLOCK, j1 - j0 - lo), first[b], shift[b], m2[b]) for b, lo in enumerate(starts)]
 
 
 def _available_cpus() -> int:
@@ -423,7 +405,7 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
                 f"rows must be increasing step indices in [0, {n_rows}), without repeats"
             )
     n_blocks = math.ceil(cfg.n_traj / _BLOCK)
-    moment_bytes = (n_rows if rows is None else keep.size) * 3 * 8 * 2 * n_blocks
+    moment_bytes = (n_rows if rows is None else keep.size) * 3 * 8 * 3 * n_blocks
     if moment_bytes > _MAX_MOMENT_BYTES:
         raise InvalidInputError(
             f"block moments would take {moment_bytes} bytes, more than {_MAX_MOMENT_BYTES}; "
@@ -442,15 +424,16 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
     # inherit this state
     with np.errstate(over="ignore", invalid="ignore"):
         parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
-        # merge block moments in block order: identical blocks merge with
-        # delta exactly zero
-        count, mean, m2 = parts[0]
-        for b_count, b_mean, b_m2 in parts[1:]:
+        # merge in block order the means less the first trajectory, so no
+        # rounded mean enters a delta; identical blocks give delta exactly 0
+        count, ref, offset, m2 = parts[0]
+        for b_count, b_first, b_shift, b_m2 in parts[1:]:
             total = count + b_count
-            delta = b_mean - mean
-            mean = mean + delta * (b_count / total)
+            delta = (b_first - ref) + b_shift - offset
+            offset = offset + delta * (b_count / total)
             m2 = m2 + b_m2 + delta**2 * (count * b_count / total)
             count = total
+        mean = ref + offset
         stderr = np.sqrt(m2 / (n - 1) / n)
     times = keep * cfg.dt
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)

@@ -69,7 +69,8 @@ class StokesVector(_Validated):
         return np.array([self.rho1, self.rho2, self.rho3])
 
     def norm(self) -> float:
-        return math.sqrt(self.rho1**2 + self.rho2**2 + self.rho3**2)
+        """Euclidean norm; NumericalFailureError if it is past the float range."""
+        return _require_finite(math.hypot(self.rho1, self.rho2, self.rho3), "Stokes vector norm")
 
     def is_physical(self) -> bool:
         """True when the squared norm is at most 1 + 1e-12."""
@@ -151,5 +152,6 @@ def stokes_from_density(d) -> StokesVector:
 
 
 def purity(s: StokesVector) -> float:
-    """tr(rho^2) = (1 + |r|^2) / 2."""
-    return 0.5 * (1.0 + s.rho1**2 + s.rho2**2 + s.rho3**2)
+    """tr(rho^2) = (1 + |r|^2) / 2; NumericalFailureError if it is past the float range."""
+    value = 0.5 * (1.0 + s.rho1 * s.rho1 + s.rho2 * s.rho2 + s.rho3 * s.rho3)
+    return _require_finite(value, "purity")

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberpol import (
@@ -766,15 +766,15 @@ GOLDEN_RUNS = {
     "experiment-json": ("experiment", ["--format", "json"],
         "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
     "montecarlo-csv": ("montecarlo", [],
-        "8dbe14ac4bd89521f9b96b8b762733319198f03b69fe524fee40884c342c8e10"),
+        "92c7b32764755e4274405a08b8035053f31cbad9a3dc926b6d8fa99ce536eb8c"),
     "montecarlo-json": ("montecarlo", ["--format", "json"],
-        "844f0c30b6bf13da9f01b01e729a4abee18db460fa0707c3995efb30cacd1788"),
+        "f600908f6557cd07da5873c62941d469554ac7946b0bce14618e7f55791e103d"),
     "compare-csv": ("compare", [],
-        "ea39e2a435fbff16da4fa596b2ca4f9b6217ea9896afb68925a4f21b32f9d72b"),
+        "4416f64a6b8a220b3fa4c4920a495baebfc5f98984471f1889308d800249876d"),
     "compare-json": ("compare", ["--format", "json"],
-        "64e52de45c5acabbe18db0ea359625bd0cecedfcac0b280a5a083147b3bc0c33"),
+        "1be83a04aaab377cc719009090d571e901fbdd04e251fd5b876cb1a56a926771"),
     "seed-override": ("montecarlo", ["--seed", "99"],
-        "bbeb98f0981545050b3667d438c79d62698b244904e156e8be3eaa9e44964122"),
+        "baadcc4b5720d4ecbdecbc108fa36076724bf7d73d68c80fe919246a618b3add"),
     "mode-override": ("mueller", ["--mode", "evolve"],
         "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
 }
@@ -829,6 +829,9 @@ def fuzzed_configs(draw):
 
 
 @settings(max_examples=500, deadline=None)
+# a grid up to the largest float: its last step overflows inside linspace
+@example(obj={**GOLDEN_CONFIGS["experiment"],
+              "times": {"start": 0.1, "stop": 1.7976931348623157e308, "count": 7}})
 @given(obj=fuzzed_configs())
 def test_parse_config_fails_only_with_typed_errors(obj):
     with warnings.catch_warnings():

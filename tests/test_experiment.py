@@ -10,6 +10,7 @@ import pytest
 from fiberpol import (
     DissipativeParams,
     InvalidInputError,
+    NumericalFailureError,
     SingularConfigurationError,
     StokesVector,
     UnsupportedConfigurationError,
@@ -93,6 +94,16 @@ def test_r_scan_collects_singular_times():
     assert list(scan.singular_times) == [math.pi / 2.0]
     for r_value, r_closed in zip(scan.r_value, scan.r_closed):
         assert abs(r_value - r_closed) < 1e-9
+
+
+def test_overflow_is_a_numerical_failure_not_a_warning():
+    # the backward propagator times the forward probe overflows; the suite
+    # turns any RuntimeWarning on the way into a failure
+    p = DissipativeParams(a=-345.0, b=0.0, c=0.0, alpha=-345.0, beta=0.0, gamma=0.0)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        r_observable(p, 1.0, 1.0)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        r_scan(p, 1.0, [1.0])
 
 
 def test_relaxation_times_boundary_exact():

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberpol import (
+    DensityMatrix,
     DissipativeParams,
     InvalidInputError,
     KossakowskiMatrix,
@@ -61,6 +62,22 @@ def test_kossakowski_nan_entries_are_not_symmetric():
         m[entry] = np.nan
         with pytest.raises(InvalidInputError, match="symmetric"):
             KossakowskiMatrix(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_arrays_are_invalid_input(bad):
+    # refused before any arithmetic: the suite fails on a raw numpy warning
+    m = np.diag([bad, 1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="finite and symmetric"):
+        KossakowskiMatrix(m)
+    with pytest.raises(InvalidInputError, match="finite and symmetric"):
+        params_from_kossakowski(m)
+    p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
+    omega = [bad, 0.0, 0.0]
+    with pytest.raises(InvalidInputError, match="precession vector must be finite"):
+        build_generator(p, omega)
+    with pytest.raises(InvalidInputError, match="precession vector must be finite"):
+        lindblad_apply(kossakowski_from_params(p), omega, DensityMatrix(np.eye(2) / 2.0))
 
 
 def test_residual_sign_matches_eigenvalue_sign():

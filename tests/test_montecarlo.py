@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_single_trajectories_reproduce_ensemble_mean():
     stack = np.stack([evolve_trajectory(spec, fp, cfg, j) for j in range(cfg.n_traj)])
     ens = ensemble_average(spec, fp, cfg)
     assert np.allclose(stack.mean(axis=0), ens.mean_stokes, atol=1e-14, rtol=0.0)
+
+
+def test_moments_match_exact_rational_moments():
+    # two full blocks and a tail block; the first component starts at 1 and
+    # spreads by about 4e-5 after one step, where rounded block means would
+    # lose the stderr's last digits in the merge
+    spec = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
+    fp = FreePrecession(omega0=1.0)
+    cfg = TrajectoryConfig(dt=0.01, n_steps=10, n_traj=600, seed=3, initial=StokesVector(1.0, 0.0, 0.0))
+    stack = np.stack([evolve_trajectory(spec, fp, cfg, j) for j in range(cfg.n_traj)])
+    ens = ensemble_average(spec, fp, cfg)
+    n = cfg.n_traj
+    for row in range(1, cfg.n_steps + 1):  # row 0 has no spread
+        for comp in range(3):
+            xs = [Fraction(x) for x in stack[:, row, comp]]
+            mean = sum(xs) / n
+            stderr = math.sqrt(sum((x - mean) ** 2 for x in xs) / (n - 1) / n)
+            assert abs(Fraction(ens.mean_stokes[row, comp]) - mean) <= 1e-15
+            assert abs(ens.stderr[row, comp] - stderr) <= 1e-14 * stderr
+    assert not ens.stderr[0].any()
 
 
 def test_zero_noise_ensemble_is_deterministic():
@@ -529,7 +550,7 @@ def _digest(*arrays):
 
 
 # SHA-256 of the little-endian float64 bytes of mean_stokes then stderr,
-# pinned on the block-at-a-time kernel: any kernel rewrite must keep them
+# pinned on the shifted two-pass block moments: any kernel rewrite must keep them
 GOLDEN_ENSEMBLES = {
     # 2600 = 10 full blocks + a 40-trajectory tail, wider than one group
     "tail-block-above-group": (
@@ -538,7 +559,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=20, n_traj=2600, seed=31, initial=(1.0, 0.0, 0.0)),
         1,
-        "d830ec929e1b10e6fd0a3bb53d374baed66f06034edd8a74566c938cc0dba608",
+        "90766ea7e426862953f764f51ef02ccc53852393e991b3b4a76730f28b41bc21",
     ),
     # 777 steps end in a partial draw chunk; 300 trajectories leave a tail block
     "partial-chunk": (
@@ -547,7 +568,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=777, n_traj=300, seed=5, initial=(0.6, 0.0, 0.8)),
         2,
-        "8dc91858e3e3371de596294f33e0a687dac5d86be7d5aaf09b56beaf8df1f888",
+        "0276b2eff849558462c07161c519b70df9df8d5cc48507f7429f7dbd467b813e",
     ),
     "off-axis-biased": (
         ensemble_average,
@@ -555,7 +576,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
         dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
         1,
-        "ac01564419b0b2f4ed449e323668409e8152751ea9d839b43a2d5c810c02fbc0",
+        "2461e6cf969dbeecf9a33c0237b1442d53441ed4a471adf6ea6a68658c561147",
     ),
     "round-trip": (
         mc_double_pass,
@@ -563,7 +584,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.3),
         dict(dt=0.01, n_steps=130, n_traj=300, seed=19, initial=(0.0, 0.0, 1.0)),
         3,
-        "c12f951429e77b966dddb0c5dea94690c596bb7a722dc09de2de8e2db26f7284",
+        "a3cec42d4a8bd34cf336f3ef98261dc0fedaf539ae28a94bf19c4d2146bc6760",
     ),
 }
 

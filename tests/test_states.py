@@ -8,6 +8,7 @@ import pytest
 from fiberpol import (
     DensityMatrix,
     InvalidInputError,
+    NumericalFailureError,
     PureStateAngles,
     StokesVector,
     density_from_stokes,
@@ -141,6 +142,16 @@ def test_stokes_physicality_boundaries():
     assert not outside.is_physical()
     # a component whose square overflows is outside the ball, not an error
     assert not StokesVector(1e200, 0.0, 0.0).is_physical()
+
+
+def test_norm_and_purity_of_large_components():
+    # squares beyond the float range: the norm still fits, the purity does not
+    assert StokesVector(1e200, 0.0, 0.0).norm() == 1e200
+    assert StokesVector(0.0, -3.0 * 2.0**600, 4.0 * 2.0**600).norm() == 5.0 * 2.0**600
+    with pytest.raises(NumericalFailureError, match="norm"):
+        StokesVector(1.7e308, 1.7e308, 1.7e308).norm()
+    with pytest.raises(NumericalFailureError, match="purity"):
+        purity(StokesVector(1e200, 0.0, 0.0))
 
 
 def test_stokes_from_array_contract():
