@@ -412,8 +412,7 @@ def _mode_cp_check(cfg: RunConfig):
         except UnsupportedConfigurationError as exc:
             unsupported = str(exc)
     # checked before eigvalsh, which does not converge on a non-finite matrix
-    checked = [*residuals.values(), *([] if noise_residual is None else [noise_residual])]
-    if not np.isfinite(checked).all():
+    if not np.isfinite(list(residuals.values())).all():
         raise NumericalFailureError("complete-positivity residuals are not finite")
     if unsupported is not None:
         _diagnostic("warning", "no-noise-residual", unsupported)

@@ -6,9 +6,9 @@ points, and numerical non-convergence.  The CLI maps the first two to
 exit code 2 and the last to exit code 3; singular points are reported
 per-point and never abort a scan.
 
-The module also holds the rounding slack every check shares, the value
-rules that the frozen dataclasses declare for their fields, and the
-copy-check-freeze step of their array fields.
+The module also holds the rounding slack every check shares and the value
+rules that the frozen dataclasses declare for their fields: the number
+rules, and the array rule, which copies, checks and freezes an array.
 """
 
 import math
@@ -51,14 +51,17 @@ class NumericalFailureError(FiberpolError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-def frozen_array(value, shape=None, message="", dtype=float) -> np.ndarray:
-    """A read-only copy of value, checked against shape unless that is None.
+def frozen_array(value, shape=None, what="array", dtype=float, finite=True) -> np.ndarray:
+    """The array rule: a read-only copy of value, named what in a refusal.
 
-    A wrong shape raises InvalidInputError with message and the shape seen.
+    InvalidInputError unless its shape is shape (any if None) and, if finite, its entries are.
     """
     arr = np.array(value, dtype=dtype)
     if shape is not None and arr.shape != shape:
-        raise InvalidInputError(f"{message}, got shape {arr.shape}")
+        size = f"have {shape[0]} components" if len(shape) == 1 else "be " + "x".join(map(str, shape))
+        raise InvalidInputError(f"{what} must {size}, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} must have finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -97,7 +100,7 @@ class _Validated:
     """Base of the frozen value types: __post_init__ applies the class's _rules.
 
     _rules maps each field to a rule of _checked, to a tuple of rules, one
-    per component of a tuple field, or to a function that converts it.
+    per component of a tuple field, or to the array rule with its arguments.
     """
 
     def __post_init__(self):

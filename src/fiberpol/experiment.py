@@ -148,7 +148,8 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
     """T1 and T2 in the symmetric regime b = 0, a = alpha.
 
     Outside that regime the two transverse components decay at unequal
-    rates and a single T2 does not exist, so the call is rejected.
+    rates and a single T2 does not exist, so the call is rejected.  A
+    time past the float range raises NumericalFailureError.
     """
     if abs(p.b) > TOL or abs(p.a - p.alpha) > TOL:
         raise UnsupportedConfigurationError(
@@ -156,7 +157,8 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
         )
     if not (p.alpha > 0.0 and p.gamma > 0.0):
         raise InvalidInputError("relaxation times need alpha > 0 and gamma > 0")
-    return RelaxationTimes(t1=1.0 / p.gamma, t2=1.0 / p.alpha)
+    t1, t2 = _require_finite((1.0 / p.gamma, 1.0 / p.alpha), "relaxation times")
+    return RelaxationTimes(t1=t1, t2=t2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in r_observable

@@ -52,16 +52,18 @@ class DissipativeParams(_Validated):
 
 
 @dataclass(frozen=True)
-class KossakowskiMatrix:
+class KossakowskiMatrix(_Validated):
     """Finite, symmetric 3x3 coefficient matrix of the dissipator (tolerance 1e-12)."""
 
     matrix: np.ndarray
 
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="Kossakowski matrix")}
+
+    @np.errstate(over="ignore")  # a gap past the float range is refused
     def __post_init__(self):
-        m = frozen_array(self.matrix, (3, 3), "Kossakowski matrix must be 3x3")
-        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= TOL):
-            raise InvalidInputError("Kossakowski matrix must be finite and symmetric within 1e-12")
-        object.__setattr__(self, "matrix", m)
+        super().__post_init__()
+        if not np.max(np.abs(self.matrix - self.matrix.T)) <= TOL:
+            raise InvalidInputError("Kossakowski matrix must be symmetric within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,8 @@ class GeneratorMatrix(_Validated):
     matrix: np.ndarray
     omega: np.ndarray
 
-    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="generator must be 3x3"),
-              "omega": partial(frozen_array, shape=(3,),
-                               message="precession vector must have 3 components")}
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="generator"),
+              "omega": partial(frozen_array, shape=(3,), what="precession vector")}
 
 
 class CPResiduals(NamedTuple):
@@ -97,15 +98,9 @@ def _rst(p: DissipativeParams) -> tuple[float, float, float]:
 def kossakowski_from_params(p: DissipativeParams) -> KossakowskiMatrix:
     """Kossakowski matrix of a parameter set."""
     r, s, t = _require_finite(_rst(p), "Kossakowski matrix")
-    return KossakowskiMatrix(
-        np.array(
-            [
-                [r, -p.b, -p.c],
-                [-p.b, s, -p.beta],
-                [-p.c, -p.beta, t],
-            ]
-        )
-    )
+    return KossakowskiMatrix(np.array([[r, -p.b, -p.c],
+                                       [-p.b, s, -p.beta],
+                                       [-p.c, -p.beta, t]]))
 
 
 def params_from_kossakowski(k) -> DissipativeParams:
@@ -122,25 +117,14 @@ def params_from_kossakowski(k) -> DissipativeParams:
     return DissipativeParams(*_require_finite(values, "dissipative parameter set"))
 
 
-def _precession_vector(omega) -> np.ndarray:
-    """omega as a read-only 3-vector; InvalidInputError unless its components are finite."""
-    w = frozen_array(omega, (3,), "precession vector must have 3 components")
-    if not np.isfinite(w).all():
-        raise InvalidInputError("precession vector must be finite")
-    return w
-
-
 def build_generator(p: DissipativeParams, omega) -> GeneratorMatrix:
-    """Assemble H from dissipative parameters and a precession 3-vector."""
-    w = _precession_vector(omega)
-    m = np.array(
-        [
-            [p.a, p.b + w[2], p.c - w[1]],
-            [p.b - w[2], p.alpha, p.beta + w[0]],
-            [p.c + w[1], p.beta - w[0], p.gamma],
-        ]
-    )
-    return GeneratorMatrix(m, w)
+    """H from dissipative parameters and a precession 3-vector; NumericalFailureError unless finite."""
+    w = GeneratorMatrix._rules["omega"](omega)
+    w1, w2, w3 = w.tolist()  # floats: a sum past the float range is inf, not a warning
+    m = np.array([[p.a, p.b + w3, p.c - w2],
+                  [p.b - w3, p.alpha, p.beta + w1],
+                  [p.c + w2, p.beta - w1, p.gamma]])
+    return GeneratorMatrix(_require_finite(m, "generator"), w)
 
 
 def cp_inequalities(p: DissipativeParams) -> CPResiduals:
@@ -183,7 +167,7 @@ def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
     equal -2 H r with H from :func:`build_generator`; the test suite
     checks the two routes against each other.
     """
-    w = _precession_vector(omega)
+    w = GeneratorMatrix._rules["omega"](omega)
     rho = d.matrix
     ham = w[0] * PAULI[0] + w[1] * PAULI[1] + w[2] * PAULI[2]
     out = -1j * (ham @ rho - rho @ ham)

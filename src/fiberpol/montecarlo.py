@@ -64,10 +64,12 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import TOL, InvalidInputError, NumericalFailureError, _Validated, _checked, frozen_array
+from .errors import (TOL, InvalidInputError, NumericalFailureError, _Validated, _checked,
+                     _require_finite, frozen_array)
 from .generator import build_generator
 from .noise import FreePrecession, NoiseSpec, _averaged_dynamics, _require_axis3_zero_mean
 from .propagator import mueller_exact
@@ -143,7 +145,7 @@ class EnsembleTrajectory(_Validated):
     stderr: np.ndarray
     n_traj: int
 
-    _rules = dict.fromkeys(("times", "mean_stokes", "stderr"), frozen_array)
+    _rules = {name: partial(frozen_array, what=name) for name in ("times", "mean_stokes", "stderr")}
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,8 @@ class MCComparisonReport(_Validated):
     max_abs_z: float
     frac_above_3: float
 
-    _rules = dict.fromkeys(("times", "mc_mean", "mc_stderr", "master", "z"), frozen_array)
+    _rules = {name: partial(frozen_array, what=name, finite=name != "z")  # z may be +-inf
+              for name in ("times", "mc_mean", "mc_stderr", "master", "z")}
 
 
 def _ou_coefficients(g, lam, dt):
@@ -435,7 +438,7 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
             count = total
         mean = ref + offset
         stderr = np.sqrt(m2 / (n - 1) / n)
-    times = keep * cfg.dt
+        times = _require_finite(keep * cfg.dt, "time grid")
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(stderr).all(axis=1)
     if not finite.all():
         t = times[finite.argmin()]

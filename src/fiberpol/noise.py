@@ -82,7 +82,7 @@ class CMatrix(_Validated):
 
     matrix: np.ndarray
 
-    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="C matrix must be 3x3")}
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="C matrix")}
 
     def symmetric_part(self) -> np.ndarray:
         """C + C^T, the Kossakowski coefficient matrix of the dissipator."""
@@ -135,13 +135,16 @@ def pauli_rotation(fp: FreePrecession, t: float) -> np.ndarray:
     return _pauli_rotation_batch(fp, np.array([float(t)]))[0]
 
 
+# squares are products, inf past the float range, not an OverflowError; refused below
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def lambda_weights(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
-    """Resonance weights Lam_i = G_i / (lam_i^2 + omega0^2) (dimensionless)."""
-    g = np.array(spec.g)
+    """Resonance weights Lam_i = G_i / (lam_i^2 + omega0^2); NumericalFailureError unless finite."""
     lam = np.array(spec.lam)
-    return g / (lam**2 + fp.omega0**2)
+    denominator = _require_finite(lam * lam + fp.omega0 * fp.omega0, "resonance denominator")
+    return _require_finite(np.array(spec.g) / denominator, "resonance weights")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in lambda_weights
 def c_matrix_closed(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     """Closed-form damping matrix for exponential correlations.
 
@@ -165,10 +168,10 @@ def c_matrix_closed(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     for i in range(3):
         c[i, :] = base[i] * (
             np.eye(3)[i, :]
-            + (omega0**2 / lam[i] ** 2) * outer[i, :]
+            + (omega0 * omega0 / (lam[i] * lam[i])) * outer[i, :]
             + (omega0 / lam[i]) * eps_n[i, :]
         )
-    return CMatrix(c)
+    return CMatrix(_require_finite(c, "damping matrix"))
 
 
 def _quadrature_pass(spec: NoiseSpec, fp: FreePrecession, t_max: float, n_seg: int) -> np.ndarray:
@@ -263,7 +266,7 @@ def simplified_params(spec: NoiseSpec, fp: FreePrecession):
     _require_axis3_zero_mean(spec, fp, "simplified_params")
     lam1, lam2, lam3 = spec.lam
     g3 = spec.g[2]
-    w1, w2, _ = lambda_weights(spec, fp)
+    w1, w2, _ = lambda_weights(spec, fp).tolist()  # floats: an overflow is inf, not a warning
     omega0 = fp.omega0
     a, b = 2.0 * lam2 * w2 + 2.0 * g3 / lam3, omega0 * (w2 - w1)
     alpha, gamma = 2.0 * lam1 * w1 + 2.0 * g3 / lam3, 2.0 * lam1 * w1 + 2.0 * lam2 * w2
@@ -283,5 +286,6 @@ def noise_cp_condition(spec: NoiseSpec, fp: FreePrecession) -> float:
     """
     _require_axis3_zero_mean(spec, fp, "noise_cp_condition")
     lam1, lam2, _ = spec.lam
-    w1, w2, _ = lambda_weights(spec, fp)
-    return 4.0 * lam1 * lam2 * w1 * w2 - fp.omega0**2 * (w2 - w1) ** 2
+    w1, w2, _ = lambda_weights(spec, fp).tolist()
+    value = 4.0 * lam1 * lam2 * w1 * w2 - fp.omega0 * fp.omega0 * ((w2 - w1) * (w2 - w1))
+    return _require_finite(value, "noise complete-positivity residual")

@@ -56,7 +56,7 @@ class MuellerMatrix(_Validated):
     matrix: np.ndarray
     t: float
 
-    _rules = {"matrix": partial(frozen_array, shape=(3, 3), message="Mueller matrix must be 3x3"),
+    _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="Mueller matrix"),
               "t": "finite"}
 
     def apply(self, s: StokesVector) -> StokesVector:
@@ -66,7 +66,10 @@ class MuellerMatrix(_Validated):
         return StokesVector.from_array(_require_finite(out, f"Stokes vector at t = {self.t}"))
 
     def __matmul__(self, other: "MuellerMatrix") -> "MuellerMatrix":
-        return MuellerMatrix(self.matrix @ other.matrix, _require_finite(self.t + other.t, "time"))
+        """The composed matrix; NumericalFailureError if it or the summed time is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            m = _require_finite(self.matrix @ other.matrix, "Mueller matrix product")
+        return MuellerMatrix(m, _require_finite(self.t + other.t, "time"))
 
 
 def _damped_trig(decay_rate: float, omega_sq: float, t: float) -> tuple[float, float]:
@@ -104,9 +107,7 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
         raise InvalidInputError("evolution time must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         m = expm(-2.0 * t * g.matrix)
-    if not np.isfinite(m).all():
-        raise NumericalFailureError(f"matrix exponential is not finite at t = {t}")
-    return MuellerMatrix(m, t)
+    return MuellerMatrix(_require_finite(m, f"matrix exponential at t = {t}"), t)
 
 
 def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.ndarray:
@@ -143,7 +144,8 @@ def mueller_closed_form(p: DissipativeParams, omega: float, t: float) -> Mueller
     :func:`mueller_exact` for those.  Requires t >= 0.
     """
     t = float(t)
-    return MuellerMatrix(_closed_form(p, p.b, _checked("finite", omega, "omega"), t), t)
+    m = _closed_form(p, p.b, _checked("finite", omega, "omega"), t)
+    return MuellerMatrix(_require_finite(m, f"closed-form propagator at t = {t}"), t)
 
 
 def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMatrix:
@@ -155,7 +157,8 @@ def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMat
     round trip is backward_mueller @ mueller_closed_form.
     """
     t = float(t)
-    return MuellerMatrix(_closed_form(p, -p.b, -_checked("finite", omega, "omega"), t), t)
+    m = _closed_form(p, -p.b, -_checked("finite", omega, "omega"), t)
+    return MuellerMatrix(_require_finite(m, f"closed-form propagator at t = {t}"), t)
 
 
 def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) -> StokesVector:

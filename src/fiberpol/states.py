@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,8 +63,7 @@ class StokesVector(_Validated):
 
     @classmethod
     def from_array(cls, values) -> "StokesVector":
-        arr = frozen_array(values, (3,), "Stokes vector needs 3 components")
-        return cls(arr[0], arr[1], arr[2])
+        return cls(*frozen_array(values, (3,), "Stokes vector"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho1, self.rho2, self.rho3])
@@ -79,8 +79,8 @@ class StokesVector(_Validated):
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A 2x2 Hermitian, unit-trace matrix in the circular basis.
+class DensityMatrix(_Validated):
+    """A finite 2x2 Hermitian, unit-trace matrix in the circular basis.
 
     Hermiticity and unit trace are enforced at construction (tolerance
     1e-12 each).  Positivity is deliberately not enforced; use
@@ -89,14 +89,16 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
+    _rules = {"matrix": partial(frozen_array, shape=(2, 2), what="density matrix", dtype=complex)}
+
+    @np.errstate(over="ignore")  # a gap past the float range is refused
     def __post_init__(self):
-        m = frozen_array(self.matrix, (2, 2), "density matrix must be 2x2", dtype=complex)
-        gaps = [abs(m[0, 1] - np.conj(m[1, 0])), abs(m[0, 0].imag), abs(m[1, 1].imag)]
-        if not np.max(gaps) <= TOL:  # np.max, unlike max, carries NaN through
+        super().__post_init__()
+        m = self.matrix
+        if not max(abs(m[0, 1] - np.conj(m[1, 0])), abs(m[0, 0].imag), abs(m[1, 1].imag)) <= TOL:
             raise InvalidInputError("density matrix is not Hermitian within 1e-12")
         if not abs(m[0, 0] + m[1, 1] - 1.0) <= TOL:
             raise InvalidInputError("density matrix trace differs from 1 beyond 1e-12")
-        object.__setattr__(self, "matrix", m)
 
     def eigenvalues(self) -> np.ndarray:
         """Both eigenvalues, ascending."""

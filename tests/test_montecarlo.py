@@ -450,16 +450,36 @@ def test_no_process_outlives_a_failed_call(monkeypatch, failing):
     assert multiprocessing.active_children() == []
 
 
+@needs_two_cpus
+def test_a_worker_that_dies_is_a_numerical_failure(monkeypatch):
+    group_moments = montecarlo._group_moments
+
+    def dying(spec, fp, cfg, j0, *args):
+        if j0 > 0:  # the forked child: end it before it sends a result
+            os._exit(7)
+        return group_moments(spec, fp, cfg, j0, *args)
+
+    monkeypatch.setattr(montecarlo, "_group_moments", dying)
+    _fake_cpus(monkeypatch, 2)
+    with pytest.raises(NumericalFailureError, match=r"ended without a result \(exit code 7\)"):
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_work_caps():
     cfg = TrajectoryConfig(dt=1e-3, n_steps=10**10, n_traj=100, seed=1,
                            initial=StokesVector(1.0, 0.0, 0.0))
     with pytest.raises(InvalidInputError, match=r"n_traj \* n_steps"):
         ensemble_average(SPLIT_SPEC, SPLIT_FP, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        # 600 trajectories are three blocks; 31 rows of 3 components, two moments
-        mp.setattr(montecarlo, "_MAX_MOMENT_BYTES", 31 * 3 * 8 * 2 * 3 - 1)
+        # 600 trajectories are three blocks; each holds 31 rows of 3 components
+        # in three float64 arrays: first trajectory, shift, squared deviations
+        mp.setattr(montecarlo, "_MAX_MOMENT_BYTES", 31 * 3 * 8 * 3 * 3 - 1)
         with pytest.raises(InvalidInputError, match="block moments"):
             ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+        mp.setattr(montecarlo, "_MAX_MOMENT_BYTES", 31 * 3 * 8 * 3 * 3)
+        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG)
+        mp.setattr(montecarlo, "_MAX_MOMENT_BYTES", 31 * 3 * 8 * 3 * 3 - 1)
         # the cap counts kept rows only
         ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=[0, 30])
         # a round trip takes twice the steps of the one-way run

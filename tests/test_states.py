@@ -1,6 +1,7 @@
 """Tests for polarization states and Stokes/density conversions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,13 +117,22 @@ def test_density_validation():
 
 
 def test_density_nan_entries_fail_the_tolerance_checks():
-    # NaN compares false both ways, so each check reads "within the band"
-    with pytest.raises(InvalidInputError, match="not Hermitian"):
+    # the array rule refuses them before the Hermiticity and trace checks
+    with pytest.raises(InvalidInputError, match="density matrix must have finite entries"):
         DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]]))
-    with pytest.raises(InvalidInputError, match="trace"):
+    with pytest.raises(InvalidInputError, match="density matrix must have finite entries"):
         DensityMatrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
-    with pytest.raises(InvalidInputError, match="not Hermitian"):
+    with pytest.raises(InvalidInputError, match="density matrix must have finite entries"):
         DensityMatrix(np.array([[complex(0.5, math.nan), 0.0], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_density_infinite_entries_are_refused_without_a_warning(bad):
+    # as under python -W error: the Hermiticity gap inf - inf is never computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="density matrix must have finite entries"):
+            DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_unphysical_density_is_representable():

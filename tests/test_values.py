@@ -1,8 +1,9 @@
-"""The value types: every float field refuses NaN and +-inf, and a computed
-overflow stays a numerical failure rather than invalid input."""
+"""The value types: every float and array field refuses NaN and +-inf, and a
+computed overflow stays a numerical failure rather than invalid input."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from hypothesis import strategies as st
 
 import fiberpol
 from fiberpol import (
+    CMatrix,
     DensityMatrix,
     DissipativeParams,
+    EnsembleTrajectory,
     ExperimentResult,
     FreePrecession,
+    GeneratorMatrix,
     InvalidInputError,
+    KossakowskiMatrix,
     MCComparisonReport,
     MuellerMatrix,
     NoiseSpec,
@@ -25,11 +30,18 @@ from fiberpol import (
     RScanResult,
     StokesVector,
     TrajectoryConfig,
+    build_generator,
+    c_matrix_closed,
     double_pass,
     effective_hamiltonian,
+    ensemble_average,
     kossakowski_from_params,
+    lambda_weights,
+    mueller_closed_form,
+    noise_cp_condition,
     params_from_kossakowski,
     r_observable,
+    relaxation_times,
     simplified_params,
     stokes_from_density,
 )
@@ -104,6 +116,49 @@ def test_float_fields_keep_finite_bits_and_refuse_the_rest(case):
                 cls(**{**kwargs, name: changed})
 
 
+ROWS = np.zeros((2, 3))
+#: every public value type with an array field: keyword arguments it accepts
+ARRAY_KWARGS = {
+    KossakowskiMatrix: dict(matrix=np.eye(3)),
+    DensityMatrix: dict(matrix=np.eye(2, dtype=complex) / 2.0),
+    GeneratorMatrix: dict(matrix=np.eye(3), omega=np.zeros(3)),
+    MuellerMatrix: dict(matrix=np.eye(3), t=0.5),
+    CMatrix: dict(matrix=np.eye(3)),
+    EnsembleTrajectory: dict(times=np.array([0.0, 0.1]), mean_stokes=ROWS, stderr=ROWS, n_traj=100),
+    MCComparisonReport: dict(times=np.array([0.0, 0.1]), mc_mean=ROWS, mc_stderr=ROWS, master=ROWS,
+                             z=ROWS, max_abs_z=0.0, frac_above_3=0.0),
+}
+
+
+def array_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if "ndarray" in str(f.type)]
+
+
+def test_every_public_array_type_is_listed():
+    public = [getattr(fiberpol, name) for name in fiberpol.__all__]
+    with_arrays = {cls for cls in public if dataclasses.is_dataclass(cls) and array_fields(cls)}
+    assert with_arrays == set(ARRAY_KWARGS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", ARRAY_KWARGS, ids=lambda cls: cls.__name__)
+def test_array_fields_refuse_non_finite_entries(cls, bad):
+    kwargs = ARRAY_KWARGS[cls]
+    for name in array_fields(cls):
+        changed = np.array(kwargs[name])
+        changed.flat[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (cls, name) == (MCComparisonReport, "z"):
+                # opted out: a z score is +-inf where the two sides disagree at zero
+                # standard error
+                if not math.isnan(bad):
+                    assert getattr(cls(**{**kwargs, name: changed}), name).flat[-1] == bad
+                continue
+            with pytest.raises(InvalidInputError, match="must have finite entries"):
+                cls(**{**kwargs, name: changed})
+
+
 def _fake_r_point(p, omega, t):
     forward = np.eye(3)
     forward[0, 0] = math.inf
@@ -131,11 +186,58 @@ COMPUTED = {
 }
 
 
-@pytest.mark.parametrize("call", COMPUTED.values(), ids=COMPUTED)
-def test_computed_overflow_is_a_numerical_failure(call):
-    # as in the CLI, numpy's own overflow warnings are off; the result is refused
-    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError, match="is not finite"):
-        call()
+NOISE = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
+#: computed overflows refused without a raw warning whatever numpy's error state
+QUIET = {
+    "build_generator": lambda: build_generator(DissipativeParams(0.0, 1e308, 0.0, 0.0, 0.0, 0.0),
+                                               [0.0, 0.0, 1e308]),
+    "MuellerMatrix.matmul-entries": lambda: (MuellerMatrix(np.eye(3) * 1e200, 0.0)
+                                             @ MuellerMatrix(np.eye(3) * 1e200, 0.0)),
+    # a = -1009 and alpha = 300 at omega = 654.5: Omega = 0, and M12 passes the float range at t = 1
+    "mueller_closed_form": lambda: mueller_closed_form(
+        DissipativeParams(-1009.0, 0.0, 0.0, 300.0, 0.0, 0.0), 654.5, 1.0),
+    # omega0 = 1e200: its square passes the float range
+    "c_matrix_closed-omega0": lambda: c_matrix_closed(NOISE, FreePrecession(1e200)),
+    "effective_hamiltonian-omega0": lambda: effective_hamiltonian(NOISE, FreePrecession(1e200)),
+    "noise_cp_condition-omega0": lambda: noise_cp_condition(NOISE, FreePrecession(1e200)),
+    "simplified_params-omega0": lambda: simplified_params(NOISE, FreePrecession(1e200)),
+    # Lam1 = Lam2 = 1e308: their sum passes the float range
+    "simplified_params-weights": lambda: simplified_params(
+        NoiseSpec(g=(1e308, 1e308, 0.0), lam=(1e-300, 1e-300, 1.0)), FreePrecession(1.0)),
+    "noise_cp_condition-weights": lambda: noise_cp_condition(
+        NoiseSpec(g=(1e308, 1e308, 0.0), lam=(1.0, 1.0, 1.0)), FreePrecession(1e-150)),
+    # lam1^2 + omega0^2 underflows to 0
+    "lambda_weights": lambda: lambda_weights(NoiseSpec(g=(1.0, 1.0, 1.0), lam=(1e-300, 1.0, 1.0)),
+                                             FreePrecession(0.0)),
+    "relaxation_times": lambda: relaxation_times(
+        DissipativeParams(1e-320, 0.0, 0.0, 1e-320, 0.0, 1e-320)),
+    # dt * lam stays small, but 300 steps of 1e306 pass the float range
+    "ensemble_average-times": lambda: ensemble_average(
+        NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1e-310,) * 3), FreePrecession(0.0),
+        TrajectoryConfig(dt=1e306, n_steps=300, n_traj=100, seed=1, initial=(1.0, 0.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("call, quiet", [*((call, False) for call in COMPUTED.values()),
+                                         *((call, True) for call in QUIET.values())],
+                         ids=[*COMPUTED, *QUIET])
+def test_computed_overflow_is_a_numerical_failure(call, quiet):
+    # as in the CLI, numpy's own overflow warnings are off for COMPUTED; QUIET
+    # keeps numpy's error state, and any warning is an error
+    with warnings.catch_warnings(), np.errstate(**({} if quiet else {"all": "ignore"})):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="is not finite"):
+            call()
+
+
+def test_large_finite_gaps_are_refused_without_a_warning():
+    # the symmetry and Hermiticity gaps pass the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            KossakowskiMatrix(np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            DensityMatrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
 
 
 def test_r_observable_checks_its_probes(monkeypatch):
