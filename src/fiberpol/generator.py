@@ -112,8 +112,8 @@ def params_from_kossakowski(k) -> DissipativeParams:
     """
     if not isinstance(k, KossakowskiMatrix):
         k = KossakowskiMatrix(k)
-    m = k.matrix
-    values = (m[1, 1] + m[2, 2], -m[0, 1], -m[0, 2], m[0, 0] + m[2, 2], -m[1, 2], m[0, 0] + m[1, 1])
+    m = k.matrix.tolist()  # floats: a sum past the float range is inf, not a warning
+    values = (m[1][1] + m[2][2], -m[0][1], -m[0][2], m[0][0] + m[2][2], -m[1][2], m[0][0] + m[1][1])
     return DissipativeParams(*_require_finite(values, "dissipative parameter set"))
 
 
@@ -134,18 +134,14 @@ def cp_inequalities(p: DissipativeParams) -> CPResiduals:
     directly in the parameters: 2R, 2S, 2T, RS - b^2, RT - c^2,
     ST - beta^2 and the determinant
     RST - 2 b c beta - R beta^2 - S c^2 - T b^2.  The evolution is
-    completely positive exactly when all seven are non-negative.
+    completely positive exactly when all seven are non-negative.  A
+    residual beyond the float range raises NumericalFailureError.
     """
     r, s, t = _rst(p)
-    return CPResiduals(
-        two_r=2.0 * r,
-        two_s=2.0 * s,
-        two_t=2.0 * t,
-        rs_minus_b2=r * s - p.b**2,
-        rt_minus_c2=r * t - p.c**2,
-        st_minus_beta2=s * t - p.beta**2,
-        det=r * s * t - 2.0 * p.b * p.c * p.beta - r * p.beta**2 - s * p.c**2 - t * p.b**2,
-    )
+    b2, c2, beta2 = p.b * p.b, p.c * p.c, p.beta * p.beta  # ** would raise OverflowError
+    residuals = (2.0 * r, 2.0 * s, 2.0 * t, r * s - b2, r * t - c2, s * t - beta2,
+                 r * s * t - 2.0 * p.b * p.c * p.beta - r * beta2 - s * c2 - t * b2)
+    return CPResiduals(*_require_finite(residuals, "complete-positivity residual set"))
 
 
 def is_completely_positive(p: DissipativeParams) -> bool:

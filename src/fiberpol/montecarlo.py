@@ -14,18 +14,18 @@ converge to the master-equation solution in the weak-coupling regime
 
 Determinism contract
 --------------------
-Trajectory j draws all of its normals from a counter-based Philox
-stream keyed by (seed, j), independent of every other trajectory and of
-how work is scheduled.  Moments are taken in fixed-size blocks
-(_BLOCK = 256 trajectories) by a shifted two-pass: the deviations from the
-block's first trajectory are summed into the mean, and the squared
-deviations from that mean into the second moment, each sum in numpy's
-pairwise order over the block's contiguous columns.  Blocks are merged in
-block order, their means taken less the run's first trajectory.  The bits
-rest on that fixed order alone, so ensemble means and standard errors are
-bit-identical at a fixed seed.  Every deviation among identical
-trajectories is exactly zero, so is their variance, which the zero-noise
-limit relies on.
+Trajectory j draws all of its normals from the counter-based Philox
+stream of its block, keyed by (seed, j // _BLOCK) and always drawn at the
+block's full width, so they depend on (seed, j) alone: not on n_traj, the
+worker count, the group width or the draw chunk.  Moments are taken in
+these blocks by a shifted two-pass: the deviations from the block's first
+trajectory are summed into the mean, and the squared deviations from that
+mean into the second moment, each sum in numpy's pairwise order over the
+block's contiguous columns.  Blocks are merged in block order, their
+means taken less the run's first trajectory.  The bits rest on that fixed
+order alone, so ensemble means and standard errors are bit-identical at
+a fixed seed.  Every deviation among identical trajectories is exactly
+zero, so is their variance, which the zero-noise limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
 up to _GROUP_BLOCKS blocks is advanced side by side in component-major
@@ -43,18 +43,19 @@ parent merges every block in block order, so the worker count does not
 change the bits.  Without fork there is one share, and the groups run in
 order in the calling process.
 
-Draw order per trajectory and segment: n_steps + 1 rows of three standard
-normals; row 0 initializes F from its stationary law N(mean, G), row k
-relaxes F to time k dt.  Rows after row 0 are drawn _CHUNK at a time, the
-same values as one (n_steps + 1, 3) draw, and scaled in place.  The
-kernel is a plain stream: it yields its one state, updated in place, at
-row 0 and after every step.  The moments alone pick the kept rows: they
-copy each into a batch of at most _KEPT_SLOTS rows and take every block's
-two-pass over its columns of the batch when it is full and after the last
-kept row, where the stream stops.
-Memory holds one chunk of normals whatever n_steps, and the work after
-propagation scales with the kept rows.  A round trip draws a second
-sequence for the return pass, a fresh stationary realization, not a
+Draw order per block and pass: n_steps + 1 rows of (3, _BLOCK) standard
+normals, trajectory j in column j % _BLOCK; row 0 initializes F from its
+stationary law N(mean, G), row k relaxes F to time k dt.  Rows after row
+0 are drawn _CHUNK at a time, the same values as one (n_steps, 3, _BLOCK)
+draw, and every block's wanted columns are scaled into one contiguous
+kick buffer.  The kernel is a plain stream: it yields its one state,
+updated in place, at row 0 and after every step.  The moments alone pick
+the kept rows: they copy each into a batch of at most _KEPT_SLOTS rows
+and take every block's two-pass over its columns of the batch when it is
+full and after the last kept row, where the stream stops.  Memory holds
+one chunk of normals and of kicks whatever n_steps, and the work after
+propagation scales with the kept rows.  A round trip's return pass draws
+on from the same streams, a fresh stationary realization, not a
 time-reversed replay: the flight outlasts the noise correlation by far.
 """
 
@@ -201,23 +202,23 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     return field[()]  # a scalar for scalar input
 
 
-def _traj_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-               indices: list[int] | range, round_trip: bool):
-    """Advance the given trajectories side by side, one draw chunk at a time.
+               j0: int, j1: int, round_trip: bool):
+    """Advance trajectories [j0, j1) side by side, one draw chunk at a time.
 
-    States are component-major, shape (3, width): column p holds trajectory
-    indices[p].  Yields the one state, updated in place, at row 0 and after
+    States are component-major, shape (3, j1 - j0): column p holds trajectory
+    j0 + p.  Yields the one state, updated in place, at row 0 and after
     every step: n_steps + 1 times, 2 n_steps + 1 on a round trip.  A caller
-    copies what it keeps before it asks for the next row.  Every operation
-    is the elementwise one of the Rodrigues step, in a fixed order, so the
-    bits depend on none of the width, the column order or the chunk.
+    copies what it keeps before it asks for the next row.  Every block draws
+    its whole width, and every operation is the elementwise one of the
+    Rodrigues step, so the bits depend on none of the range or the chunk.
     """
-    width = len(indices)
+    width = j1 - j0
     n = cfg.n_steps
     chunk = min(_CHUNK, n)
     g, lam, mean = (np.array(x)[:, None] for x in (spec.g, spec.lam, spec.mean))
@@ -226,10 +227,13 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     # per-component constants at full width: same values, faster ufunc loops
     mean, decay = (np.repeat(x, width, axis=1) for x in (mean, decay))
     two_dt = 2.0 * cfg.dt
-    gens = [_traj_rng(cfg.seed, j) for j in indices]
+    # per block the range meets: its stream, the wanted columns of its normals, theirs here
+    streams = [(_block_rng(cfg.seed, b), slice(max(j0 - b * _BLOCK, 0), j1 - b * _BLOCK),
+                slice(max(b * _BLOCK - j0, 0), (b + 1) * _BLOCK - j0))
+               for b in range(j0 // _BLOCK, (j1 - 1) // _BLOCK + 1)]
 
-    draws = np.empty((width, chunk, 3))
-    flat, kicks = draws.reshape(width, 3 * chunk), draws.transpose(1, 2, 0)  # views of draws
+    normals = np.empty((chunk, 3, _BLOCK))
+    kicks = np.empty((chunk, 3, width))
     bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
     yield bloch
     field, v, unit, cross, tmp = np.empty((5, 3, width))
@@ -239,15 +243,15 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     for sign in (1.0, -1.0) if round_trip else (1.0,):
         axis = np.repeat(sign * axis_term, width, axis=1)
         # draw row 0 initializes F from its stationary law N(mean, G)
-        for gen, row in zip(gens, draws[:, 0]):
-            gen.standard_normal(out=row)
-        np.multiply(draws[:, 0].T, np.sqrt(g), out=field)
+        for gen, wanted, cols in streams:
+            gen.standard_normal(out=normals[0])
+            np.multiply(normals[0, :, wanted], np.sqrt(g), out=field[:, cols])
         field += mean
         for k0 in range(0, n, chunk):
             c = min(chunk, n - k0)
-            for gen, rows in zip(gens, draws[:, :c]):
-                gen.standard_normal(out=rows)
-            flat[:, :3 * c] *= np.tile(step_sigma[:, 0], c)  # draws[:, :c] become kicks
+            for gen, wanted, cols in streams:
+                gen.standard_normal(out=normals[:c])
+                np.multiply(normals[:c, :, wanted], step_sigma, out=kicks[:c, :, cols])
             for i in range(c):
                 np.add(field, axis, out=v)
                 np.multiply(v, v, out=tmp)
@@ -304,7 +308,7 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     batch = np.empty((span, 3, j1 - j0))  # kept rows as the stream yields them
     i_keep = 0  # the next kept row's index in keep
     # the stream stops at the last kept row
-    for row, state in zip(range(keep[-1] + 1), _propagate(spec, fp, cfg, range(j0, j1), round_trip)):
+    for row, state in zip(range(keep[-1] + 1), _propagate(spec, fp, cfg, j0, j1, round_trip)):
         if row != keep[i_keep]:
             continue
         batch[i_keep % span] = state
@@ -464,7 +468,7 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
                                 f"{_MAX_MOMENT_BYTES} bytes; use fewer steps")
     out = np.empty((cfg.n_steps + 1, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for row, state in zip(out, _propagate(spec, fp, cfg, [traj_index], False)):
+        for row, state in zip(out, _propagate(spec, fp, cfg, traj_index, traj_index + 1, False)):
             row[...] = state[:, 0]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():

@@ -84,9 +84,10 @@ class CMatrix(_Validated):
 
     _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="C matrix")}
 
+    @np.errstate(over="ignore")  # a sum past the float range is refused
     def symmetric_part(self) -> np.ndarray:
-        """C + C^T, the Kossakowski coefficient matrix of the dissipator."""
-        return self.matrix + self.matrix.T
+        """C + C^T, the Kossakowski coefficient matrix; NumericalFailureError unless finite."""
+        return _require_finite(self.matrix + self.matrix.T, "damping matrix")
 
 
 def correlation(spec: NoiseSpec, i: int, j: int, t: float) -> float:
@@ -224,7 +225,7 @@ def _averaged_dynamics(spec: NoiseSpec, fp: FreePrecession):
     m = c.matrix
     shift = np.array([m[1, 2] - m[2, 1], m[2, 0] - m[0, 2], m[0, 1] - m[1, 0]])
     omega = 0.5 * fp.omega0 * np.array(fp.n) + np.array(spec.mean) + shift
-    params = params_from_kossakowski(_require_finite(c.symmetric_part(), "damping matrix"))
+    params = params_from_kossakowski(c.symmetric_part())
     return params, _require_finite(omega, "precession vector")
 
 

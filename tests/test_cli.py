@@ -766,15 +766,15 @@ GOLDEN_RUNS = {
     "experiment-json": ("experiment", ["--format", "json"],
         "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
     "montecarlo-csv": ("montecarlo", [],
-        "92c7b32764755e4274405a08b8035053f31cbad9a3dc926b6d8fa99ce536eb8c"),
+        "2f3e6c3d065108eb4e0d3c3adec28900e4147fe46d0a4d1987a856053677953a"),
     "montecarlo-json": ("montecarlo", ["--format", "json"],
-        "f600908f6557cd07da5873c62941d469554ac7946b0bce14618e7f55791e103d"),
+        "6eeecb93c1e33365dda0e18fcc8b38906c8bcb813f626d4adcff0cc128336c8a"),
     "compare-csv": ("compare", [],
-        "4416f64a6b8a220b3fa4c4920a495baebfc5f98984471f1889308d800249876d"),
+        "acbeca9e9326d22d13e9ffe7412da96ddb856f3c2a43178ade261d85f5e989ee"),
     "compare-json": ("compare", ["--format", "json"],
-        "1be83a04aaab377cc719009090d571e901fbdd04e251fd5b876cb1a56a926771"),
+        "578b48053abeabbf99bb6636646b5dad927f021de69df3547c58b0de3a9709e4"),
     "seed-override": ("montecarlo", ["--seed", "99"],
-        "baadcc4b5720d4ecbdecbc108fa36076724bf7d73d68c80fe919246a618b3add"),
+        "d72e01d642f0dd3cf88fd2ff44c70477a2a78dea5ea2c28ea827b2c9a289077e"),
     "mode-override": ("mueller", ["--mode", "evolve"],
         "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
 }

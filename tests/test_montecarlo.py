@@ -503,9 +503,9 @@ def test_kept_rows_match_the_full_run():
             ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, rows=bad)
 
 
-def _stream(spec, fp, cfg, indices, round_trip):
+def _stream(spec, fp, cfg, j0, j1, round_trip):
     """Copies of every state the kernel yields, taken before it goes on."""
-    return [state.copy() for state in montecarlo._propagate(spec, fp, cfg, indices, round_trip)]
+    return [state.copy() for state in montecarlo._propagate(spec, fp, cfg, j0, j1, round_trip)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,7 +538,8 @@ def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots,
     n_rows = 2 * n_steps + 1 if round_trip else n_steps + 1
     rows = sorted({r % n_rows for r in picks})
     full = montecarlo._ensemble(spec, fp, cfg, round_trip, 1)
-    states = _stream(spec, fp, cfg, [4, 0, 7], round_trip)
+    # trajectories 250-261 straddle the first block boundary: two streams
+    states = _stream(spec, fp, cfg, 250, 262, round_trip)
     propagate, asked = montecarlo._propagate, []
 
     def counted(*args):
@@ -549,7 +550,7 @@ def test_kept_row_stream_matches_the_full_run(n_steps, round_trip, chunk, slots,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_CHUNK", chunk)
         mp.setattr(montecarlo, "_KEPT_SLOTS", slots)
-        chunked = _stream(spec, fp, cfg, [4, 0, 7], round_trip)
+        chunked = _stream(spec, fp, cfg, 250, 262, round_trip)
         mp.setattr(montecarlo, "_propagate", counted)
         kept = montecarlo._ensemble(spec, fp, cfg, round_trip, 1, rows=np.array(rows))
     # the kernel yields every row whatever the chunk; the moments keep some
@@ -569,8 +570,10 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-# SHA-256 of the little-endian float64 bytes of mean_stokes then stderr,
-# pinned on the shifted two-pass block moments: any kernel rewrite must keep them
+# SHA-256 of the little-endian float64 bytes of mean_stokes then stderr, pinned
+# on one Philox stream per 256-trajectory block, drawn step-major at the block's
+# full width, and on the shifted two-pass block moments: a kernel rewrite that
+# keeps that draw order must keep them
 GOLDEN_ENSEMBLES = {
     # 2600 = 10 full blocks + a 40-trajectory tail, wider than one group
     "tail-block-above-group": (
@@ -579,7 +582,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=20, n_traj=2600, seed=31, initial=(1.0, 0.0, 0.0)),
         1,
-        "90766ea7e426862953f764f51ef02ccc53852393e991b3b4a76730f28b41bc21",
+        "c2e2854d391792acbc687ac4ee49509befd52b8fee0e428474a2dfe0ea795499",
     ),
     # 777 steps end in a partial draw chunk; 300 trajectories leave a tail block
     "partial-chunk": (
@@ -588,7 +591,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=777, n_traj=300, seed=5, initial=(0.6, 0.0, 0.8)),
         2,
-        "0276b2eff849558462c07161c519b70df9df8d5cc48507f7429f7dbd467b813e",
+        "768233569c368ffec2494af854913f745f87476c98fe0104a4525de9a3786afd",
     ),
     "off-axis-biased": (
         ensemble_average,
@@ -596,7 +599,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
         dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
         1,
-        "2461e6cf969dbeecf9a33c0237b1442d53441ed4a471adf6ea6a68658c561147",
+        "c658632264b47ed10acd2d41b3dc2e976c2d1e4ff97a66105ad994855206b352",
     ),
     "round-trip": (
         mc_double_pass,
@@ -604,7 +607,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.3),
         dict(dt=0.01, n_steps=130, n_traj=300, seed=19, initial=(0.0, 0.0, 1.0)),
         3,
-        "a3cec42d4a8bd34cf336f3ef98261dc0fedaf539ae28a94bf19c4d2146bc6760",
+        "9915fc90d9d15bdccfd18d7ea6de08e2465323505692abfe057d568e950abc34",
     ),
 }
 
@@ -622,8 +625,32 @@ def test_golden_trajectory_bits():
     fp = FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8))
     cfg = TrajectoryConfig(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11,
                            initial=StokesVector(0.3, -0.5, 0.6))
-    expected = "bbed23774055e518fc0175d5c1f34b49b63f68fa82dcadeabf084b879305df5a"
+    expected = "bce92e8668bf48fbd5bdeb42b2260667af8bcd861f31f7a70da5a887e79af38c"
     assert _digest(evolve_trajectory(spec, fp, cfg, 257)) == expected
+
+
+@pytest.mark.parametrize("round_trip", [False, True])
+def test_a_partial_block_draws_the_whole_block_stream(round_trip):
+    # trajectories 256-299 are the 44-trajectory tail of n_traj = 300; drawn
+    # alone, they must match the first 44 columns of their block's full width
+    tail = _stream(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 256, 300, round_trip)
+    full = _stream(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 256, 512, round_trip)
+    assert len(tail) == len(full)
+    assert all(np.array_equal(a, b[:, :44]) for a, b in zip(tail, full))
+
+
+def test_one_stream_per_block(monkeypatch):
+    block_rng, blocks = montecarlo._block_rng, []
+
+    def counted(seed, block):
+        blocks.append(block)
+        return block_rng(seed, block)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", counted)
+    cfg = TrajectoryConfig(dt=0.01, n_steps=2, n_traj=4096, seed=3,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    ensemble_average(SPLIT_SPEC, SPLIT_FP, cfg, n_workers=1)
+    assert blocks == list(range(16))
 
 
 SPLIT_CASES = {

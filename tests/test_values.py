@@ -32,6 +32,7 @@ from fiberpol import (
     TrajectoryConfig,
     build_generator,
     c_matrix_closed,
+    cp_inequalities,
     double_pass,
     effective_hamiltonian,
     ensemble_average,
@@ -173,7 +174,6 @@ COMPUTED = {
         StokesVector(1.0, 1.0, 0.0)),
     "MuellerMatrix.matmul": lambda: MuellerMatrix(np.eye(3), 1e308) @ MuellerMatrix(np.eye(3), 1e308),
     "double_pass": lambda: double_pass(GROWING, 1.0, 1.0, StokesVector(1.0, 0.0, 0.0)),
-    "params_from_kossakowski": lambda: params_from_kossakowski(OVERFLOW),
     "kossakowski_from_params": lambda: kossakowski_from_params(
         DissipativeParams(a=-1e308, b=0.0, c=0.0, alpha=1e308, beta=0.0, gamma=1e308)),
     "simplified_params": lambda: simplified_params(
@@ -211,6 +211,10 @@ QUIET = {
                                              FreePrecession(0.0)),
     "relaxation_times": lambda: relaxation_times(
         DissipativeParams(1e-320, 0.0, 0.0, 1e-320, 0.0, 1e-320)),
+    "params_from_kossakowski": lambda: params_from_kossakowski(OVERFLOW),
+    "CMatrix.symmetric_part": lambda: CMatrix(np.full((3, 3), 1e308)).symmetric_part(),
+    # b^2 and its siblings pass the float range
+    "cp_inequalities": lambda: cp_inequalities(DissipativeParams(*[1e300] * 6)),
     # dt * lam stays small, but 300 steps of 1e306 pass the float range
     "ensemble_average-times": lambda: ensemble_average(
         NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1e-310,) * 3), FreePrecession(0.0),
