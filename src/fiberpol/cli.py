@@ -23,9 +23,13 @@ be finite)::
       "output":     {"path": "out.csv", "format": "csv" | "json"}  # both optional
     }
 
-The fields of each block are declared once, in ``_SCHEMA``.  Modes that
-need a generator (evolve, mueller, cp-check, experiment) take exactly
-one of "noise"+"precession" or "params"; the stochastic modes
+The value types (NoiseSpec, FreePrecession, DissipativeParams and
+TrajectoryConfig) declare the fields, defaults and rules of the noise,
+precession, params and trajectory blocks; ``_SCHEMA`` adds only the keys
+JSON adds (params.omega, trajectory.double_pass) and the times and output
+blocks.  A refusal names its block, as in "noise.lam[1] must be positive".
+Modes that need a generator (evolve, mueller, cp-check, experiment) take
+exactly one of "noise"+"precession" or "params"; the stochastic modes
 (montecarlo, compare) take "noise"+"precession"+"trajectory" and no
 explicit params.  Command-line flags override the corresponding config
 fields before the config is validated.  The stochastic modes split their
@@ -50,7 +54,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -125,70 +129,75 @@ def _omega(value, path: str) -> tuple[float, float, float]:
     return _vec3(value, path) if isinstance(value, list) else (0.0, 0.0, _number(value, path))
 
 
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be a boolean")
-    return value
+def _passing(test, what: str):
+    """A parser that returns a value passing test and refuses the rest: it must be what."""
+    def parse(value, path: str):
+        if not test(value):
+            raise ConfigError(f"{path} must be {what}")
+        return value
+    return parse
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string")
-    return value
-
-
-def _format(value, path: str) -> str:
-    if value not in ("csv", "json"):
-        raise ConfigError(f"{path} must be 'csv' or 'json'")
-    return value
+_boolean = _passing(lambda v: isinstance(v, bool), "a boolean")
+_string = _passing(lambda v: isinstance(v, str), "a string")
+_format = _passing(lambda v: v in ("csv", "json"), "'csv' or 'json'")
 
 
 _REQUIRED = object()
 
-#: block -> field -> (parser, default or _REQUIRED); "times" is the grid form
+
+def _typed(kind, **extra):
+    """A block that builds kind: kind's fields but initial, which kind's rules check, then extra."""
+    return kind, {**{f.name: (None, _REQUIRED if f.default is MISSING else f.default)
+                     for f in fields(kind) if f.name != "initial"}, **extra}
+
+
+#: block -> (value type or None, key -> (parser or None, default or _REQUIRED));
+#: "times" is the grid form, and the top-level "initial" completes a trajectory
 _SCHEMA = {
-    "noise": {"g": (_vec3, _REQUIRED), "lam": (_vec3, _REQUIRED), "mean": (_vec3, (0.0, 0.0, 0.0))},
-    "precession": {"omega0": (_number, _REQUIRED), "n": (_vec3, (0.0, 0.0, 1.0))},
-    "params": {
-        **{name: (_number, _REQUIRED) for name in ("a", "b", "c", "alpha", "beta", "gamma")},
-        "omega": (_omega, _REQUIRED),
-    },
+    "noise": _typed(NoiseSpec),
+    "precession": _typed(FreePrecession),
+    "params": _typed(DissipativeParams, omega=(_omega, _REQUIRED)),
     # with start >= 0, stop - start and so the grid stay within the float range
-    "times": {"start": (_non_negative, _REQUIRED), "stop": (_number, _REQUIRED),
-              "count": (_integer, _REQUIRED)},
-    "trajectory": {
-        "dt": (_number, _REQUIRED),
-        "n_steps": (_integer, _REQUIRED),
-        "n_traj": (_integer, _REQUIRED),
-        "seed": (_integer, _REQUIRED),
-        "double_pass": (_boolean, False),
-    },
-    "output": {"path": (_string, None), "format": (_format, "csv")},
+    "times": (None, {"start": (_non_negative, _REQUIRED), "stop": (_number, _REQUIRED),
+                     "count": (_integer, _REQUIRED)}),
+    "trajectory": _typed(TrajectoryConfig, double_pass=(_boolean, False)),
+    "output": (None, {"path": (_string, None), "format": (_format, "csv")}),
 }
 
 
-def _fields(block, fields: dict, name: str) -> dict:
-    """Every field of a block, parsed, with defaults filled in."""
+def _fields(block, name: str, **supplied) -> tuple:
+    """(name's value type built from block and supplied, or None; every key's value, defaults in).
+
+    A refusal of the value type is re-raised as a ConfigError that names the block.
+    """
+    kind, keys = _SCHEMA[name]
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
     for key in block:
-        if key not in fields:
+        if key not in keys:
             raise ConfigError(f"unknown field {name}.{key!r}")
     parsed = {}
-    for key, (parse, default) in fields.items():
+    for key, (parse, default) in keys.items():
         if key in block:
-            parsed[key] = parse(block[key], f"{name}.{key}")
+            parsed[key] = parse(block[key], f"{name}.{key}") if parse else block[key]
         elif default is _REQUIRED:
             raise ConfigError(f"{name}.{key} is required")
         else:
             parsed[key] = default
-    return parsed
+    if kind is None:
+        return None, parsed
+    own = [key for key, (parse, _) in keys.items() if parse is None]
+    try:
+        value = kind(**{key: parsed[key] for key in own}, **supplied)
+    except InvalidInputError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
+    return value, {**parsed, **{key: getattr(value, key) for key in own}}
 
 
 def _times(value) -> tuple[float, ...]:
     if isinstance(value, dict):
-        grid = _fields(value, _SCHEMA["times"], "times")
-        start, stop, count = grid["start"], grid["stop"], grid["count"]
+        start, stop, count = _fields(value, "times")[1].values()
         if count < 2:
             raise ConfigError("times.count must be at least 2")
         if count > _MAX_GRID_POINTS:
@@ -223,9 +232,9 @@ def _load(text: str) -> dict:
     return obj
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
-    obj = _load(text)
+def parse_config(config: str | dict) -> RunConfig:
+    """Parse and validate a run configuration: JSON text, or the dict it loads to."""
+    obj = config if isinstance(config, dict) else _load(config)
     for key in obj:
         if key not in ("mode", "initial", *_SCHEMA):
             raise ConfigError(f"unknown field {key!r}")
@@ -234,53 +243,37 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}")
     _, stochastic, timed = _MODES[mode]
 
-    # the parsed, defaults-filled config, which the digest covers
-    blocks = {name: _fields(obj[name], _SCHEMA[name], name)
-              for name in ("noise", "precession", "params", "trajectory") if name in obj}
-    if "times" in obj:
-        blocks["times"] = _times(obj["times"])
-    blocks["initial"] = _vec3(obj["initial"], "initial") if "initial" in obj else (1.0, 0.0, 0.0)
-    output = _fields(obj.get("output", {}), _SCHEMA["output"], "output")
-
-    noise = precession = params = params_omega = trajectory = None
-    if "noise" in blocks:
-        if "precession" not in blocks:
-            raise ConfigError("precession is required alongside noise")
-        noise = NoiseSpec(**blocks["noise"])
-        precession = FreePrecession(**blocks["precession"])
-    elif "precession" in blocks:
-        raise ConfigError("precession is only meaningful together with noise")
-    if "params" in blocks:
-        coefficients = dict(blocks["params"])
-        params_omega = coefficients.pop("omega")
-        params = DissipativeParams(**coefficients)
-
-    if not stochastic:
-        if (noise is None) == (params is None):
-            raise ConfigError(f"mode {mode!r} needs exactly one of noise or params")
-    else:
-        if noise is None:
-            raise ConfigError(f"mode {mode!r} needs noise and precession")
-        if params is not None:
-            raise ConfigError(
-                f"mode {mode!r} derives its dynamics from noise; params is not allowed"
-            )
-    if timed and "times" not in blocks:
-        raise ConfigError(f"mode {mode!r} requires times")
-
-    initial = StokesVector(*blocks["initial"])
+    # every value as validated, defaults filled in, which the digest covers
+    digested = {"mode": mode}
+    digested["initial"] = _vec3(obj["initial"], "initial") if "initial" in obj else (1.0, 0.0, 0.0)
+    initial = StokesVector(*digested["initial"])
     if not initial.is_physical():
         raise ConfigError("initial must lie in the unit ball (within 1e-12)")
-    round_trip = False
-    if "trajectory" in blocks:
-        steps = dict(blocks["trajectory"])
-        round_trip = steps.pop("double_pass")
-        try:
-            trajectory = TrajectoryConfig(**steps, initial=initial)
-        except InvalidInputError as exc:
-            raise ConfigError(f"trajectory: {exc}") from exc
+    built = dict.fromkeys(("noise", "precession", "params", "trajectory"))
+    for name in built:
+        if name in obj:
+            supplied = {"initial": initial} if name == "trajectory" else {}
+            built[name], digested[name] = _fields(obj[name], name, **supplied)
+    if "times" in obj:
+        digested["times"] = _times(obj["times"])
+    _, output = _fields(obj.get("output", {}), "output")
+    noise, precession, params, trajectory = built.values()
+
+    if noise is not None and precession is None:
+        raise ConfigError("precession is required alongside noise")
+    if precession is not None and noise is None:
+        raise ConfigError("precession is only meaningful together with noise")
+    if not stochastic and (noise is None) == (params is None):
+        raise ConfigError(f"mode {mode!r} needs exactly one of noise or params")
+    if stochastic and noise is None:
+        raise ConfigError(f"mode {mode!r} needs noise and precession")
+    if stochastic and params is not None:
+        raise ConfigError(f"mode {mode!r} derives its dynamics from noise; params is not allowed")
+    if timed and "times" not in digested:
+        raise ConfigError(f"mode {mode!r} requires times")
     if stochastic and trajectory is None:
         raise ConfigError(f"mode {mode!r} requires a trajectory block")
+    round_trip = digested["trajectory"]["double_pass"] if trajectory is not None else False
     if mode == "montecarlo":
         n_rows = (2 if round_trip else 1) * trajectory.n_steps + 1
         if n_rows > _MAX_GRID_POINTS:
@@ -288,19 +281,12 @@ def parse_config(text: str) -> RunConfig:
                               f"more than {_MAX_GRID_POINTS}; use fewer steps")
 
     digested = {name: dict(sorted(value.items())) if isinstance(value, dict) else value
-                for name, value in sorted({"mode": mode, **blocks}.items())}
+                for name, value in sorted(digested.items())}
     return RunConfig(
-        mode=mode,
-        noise=noise,
-        precession=precession,
-        params=params,
-        params_omega=params_omega,
-        times=blocks.get("times"),
-        initial=initial,
-        trajectory=trajectory,
-        round_trip=round_trip,
-        output_path=output["path"],
-        output_format=output["format"],
+        mode=mode, noise=noise, precession=precession, params=params,
+        params_omega=digested["params"]["omega"] if params is not None else None,
+        times=digested.get("times"), initial=initial, trajectory=trajectory, round_trip=round_trip,
+        output_path=output["path"], output_format=output["format"],
         config_digest=hashlib.sha256(_json_value(digested).encode()).hexdigest(),
     )
 
@@ -521,7 +507,7 @@ def main(argv=None) -> int:
         ):
             if value is not None and isinstance(obj.setdefault(block, {}), dict):
                 obj[block][key] = value
-        return run(parse_config(json.dumps(obj)))
+        return run(parse_config(obj))
     except (ConfigError, InvalidInputError, UnsupportedConfigurationError) as exc:
         _diagnostic("error", "invalid-input", str(exc))
         return 2

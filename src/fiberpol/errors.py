@@ -56,7 +56,12 @@ def frozen_array(value, shape=None, what="array", dtype=float, finite=True) -> n
 
     InvalidInputError unless its shape is shape (any if None) and, if finite, its entries are.
     """
-    arr = np.array(value, dtype=dtype)
+    try:
+        arr = np.array(value, dtype=dtype)
+    except OverflowError as exc:  # an integer beyond the float range counts as infinite
+        raise InvalidInputError(f"{what} must have finite entries") from exc
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+        raise InvalidInputError(f"{what} must be an array of numbers") from exc
     if shape is not None and arr.shape != shape:
         size = f"have {shape[0]} components" if len(shape) == 1 else "be " + "x".join(map(str, shape))
         raise InvalidInputError(f"{what} must {size}, got shape {arr.shape}")
@@ -99,8 +104,8 @@ def _checked(rule: str, value, name: str):
 class _Validated:
     """Base of the frozen value types: __post_init__ applies the class's _rules.
 
-    _rules maps each field to a rule of _checked, to a tuple of rules, one
-    per component of a tuple field, or to the array rule with its arguments.
+    _rules maps each field to a rule of _checked, to a tuple of rules, one per
+    component of a tuple field, or to a callable returning the checked value.
     """
 
     def __post_init__(self):
@@ -111,7 +116,10 @@ class _Validated:
             elif isinstance(rule, str):
                 value = _checked(rule, value, name)
             else:  # a tuple field: one rule per component
-                value = tuple(value)
+                try:
+                    value = tuple(value)
+                except TypeError:  # not a sequence
+                    value = ()
                 if len(value) != len(rule):
                     raise InvalidInputError(f"{name} must have {len(rule)} components")
                 value = tuple(map(_checked, rule, value, (f"{name}[{i}]" for i in range(len(rule)))))

@@ -108,12 +108,12 @@ class TrajectoryConfig(_Validated):
     seed: int
     initial: StokesVector
 
-    _rules = {"dt": "positive", "n_steps": "integer", "n_traj": "integer", "seed": "integer"}
+    _rules = {"dt": "positive", "n_steps": "integer", "n_traj": "integer", "seed": "integer",
+              "initial": lambda v: v if isinstance(v, StokesVector) else StokesVector(
+                  *frozen_array(v, (3,), "initial"))}
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.initial, StokesVector):
-            object.__setattr__(self, "initial", StokesVector.from_array(self.initial))
         if self.n_steps < 1:
             raise InvalidInputError("n_steps must be at least 1")
         if self.n_traj < 100:
@@ -167,7 +167,8 @@ class MCComparisonReport(_Validated):
 
 def _ou_coefficients(g, lam, dt):
     """Per-step decay e^{-lam dt} and kick scale sqrt(g (1 - e^{-2 lam dt}))."""
-    decay = np.exp(-lam * dt)
+    # math.exp: numpy's exp loops for AVX2 and AVX-512 differ in the last bit
+    decay = np.vectorize(math.exp, otypes=[float])(-lam * dt)
     return decay, np.sqrt(g * (1.0 - decay**2))
 
 
@@ -193,7 +194,11 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     """
     for name, rule, value in (("g", "non-negative", g), ("lam", "positive", lam),
                               ("dt", "positive", dt), ("mean", "finite", mean)):
-        for x in (np.min(value), np.max(value)):  # the extremes: NaN propagates to both
+        try:
+            extremes = np.min(value), np.max(value)  # NaN propagates to both
+        except (TypeError, ValueError) as exc:  # not numbers, ragged or empty
+            raise InvalidInputError(f"{name} must hold one or more numbers") from exc
+        for x in extremes:
             _checked(rule, x, name)
     g, lam = np.asarray(g, dtype=float), np.asarray(lam, dtype=float)
     decay, sigma = _ou_coefficients(g, lam, dt)

@@ -73,7 +73,7 @@ class FreePrecession(_Validated):
     def __post_init__(self):
         super().__post_init__()
         if not abs(math.hypot(*self.n) - 1.0) <= TOL:
-            raise InvalidInputError("precession axis n must be a unit vector within 1e-12")
+            raise InvalidInputError("n must be a unit vector within 1e-12")
 
 
 @dataclass(frozen=True)

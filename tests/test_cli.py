@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -73,6 +74,19 @@ def test_parse_minimal_config():
     assert cfg.output_format == "csv"
     assert cfg.output_path is None
     assert cfg.trajectory is None
+
+
+def test_parse_config_takes_text_or_the_loaded_dict(tmp_path, capsys, monkeypatch):
+    obj = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.5]}
+    assert parse_config(obj) == parse_config(json.dumps(obj))
+    # main parses the loaded, flag-edited object through parse_config, which
+    # perfbench/child.py wraps to split set-up from run time
+    seen = []
+    monkeypatch.setattr("fiberpol.cli.parse_config",
+                        lambda config: seen.append(config) or parse_config(config))
+    code, _, _ = run_cli(capsys, ["--config", write_config(tmp_path, obj), "--format", "json"])
+    assert code == 0
+    assert seen == [{**obj, "output": {"format": "json"}}]
 
 
 def test_syntax_error_reports_location(tmp_path, capsys):
@@ -766,15 +780,15 @@ GOLDEN_RUNS = {
     "experiment-json": ("experiment", ["--format", "json"],
         "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
     "montecarlo-csv": ("montecarlo", [],
-        "2f3e6c3d065108eb4e0d3c3adec28900e4147fe46d0a4d1987a856053677953a"),
+        "4388929356ec264460110eedd4a01f880511ed8f7adec358c83239af0b133658"),
     "montecarlo-json": ("montecarlo", ["--format", "json"],
-        "6eeecb93c1e33365dda0e18fcc8b38906c8bcb813f626d4adcff0cc128336c8a"),
+        "59c7ec86fbe61bc64d5a73cfc12e1121c9479dba4db1047fc03522451a5b2880"),
     "compare-csv": ("compare", [],
         "acbeca9e9326d22d13e9ffe7412da96ddb856f3c2a43178ade261d85f5e989ee"),
     "compare-json": ("compare", ["--format", "json"],
         "578b48053abeabbf99bb6636646b5dad927f021de69df3547c58b0de3a9709e4"),
     "seed-override": ("montecarlo", ["--seed", "99"],
-        "d72e01d642f0dd3cf88fd2ff44c70477a2a78dea5ea2c28ea827b2c9a289077e"),
+        "d5a9c29ce94455bc22d1a9d407b4b73d4a69901f1b2b7547ad29cefe3b8e7e36"),
     "mode-override": ("mueller", ["--mode", "evolve"],
         "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
 }
@@ -788,6 +802,70 @@ def test_golden_cli_bytes(tmp_path, capsys, case):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_config_surface_is_pinned():
+    # the value types declare their blocks' keys: a field added to one of them
+    # must not become a config key unnoticed
+    accepted = {(block, key) for block, (_, keys) in _SCHEMA.items() for key in keys}
+    assert accepted == {
+        ("noise", "g"), ("noise", "lam"), ("noise", "mean"),
+        ("precession", "omega0"), ("precession", "n"),
+        *(("params", key) for key in ("a", "b", "c", "alpha", "beta", "gamma", "omega")),
+        ("times", "start"), ("times", "stop"), ("times", "count"),
+        *(("trajectory", key) for key in ("dt", "n_steps", "n_traj", "seed", "double_pass")),
+        ("output", "path"), ("output", "format"),
+    }
+    # the top level supplies a trajectory's initial state
+    with pytest.raises(ConfigError, match="^unknown field trajectory.'initial'$"):
+        parse_config(json.dumps(edited("trajectory", "initial", [1.0, 0.0, 0.0])))
+
+
+#: the fields of the value types; the golden config that holds each block; the
+#: fields that hold 3 numbers or an integer, which a float does not fill
+VALUE_TYPE_FIELDS = {"noise": ("g", "lam", "mean"), "precession": ("omega0", "n"),
+                     "params": ("a", "b", "c", "alpha", "beta", "gamma"),
+                     "trajectory": ("dt", "n_steps", "n_traj", "seed")}
+HOLDER = {"noise": "mueller", "precession": "mueller", "params": "evolve",
+          "trajectory": "montecarlo"}
+NOT_A_FLOAT = {"g", "lam", "mean", "n", "n_steps", "n_traj", "seed"}
+
+
+def edited(block, key, value):
+    obj = copy.deepcopy(GOLDEN_CONFIGS[HOLDER[block]])
+    obj[block][key] = value
+    return obj
+
+
+@pytest.mark.parametrize("block, key", [(block, key) for block, keys in VALUE_TYPE_FIELDS.items()
+                                        for key in keys])
+def test_value_of_the_wrong_kind_exits_2_naming_its_field(tmp_path, capsys, block, key):
+    for value in ["x", [1.0], {"k": 1.0}, None, True, *([5.0] if key in NOT_A_FLOAT else [])]:
+        path = write_config(tmp_path, edited(block, key, value))
+        code, out, err = run_cli(capsys, ["--config", path])
+        assert (code, out) == (2, "")
+        (diag,) = diagnostics(err)
+        assert diag["message"].startswith(f"{block}.{key}"), (value, diag["message"])
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("noise", "g", 5.0, "noise.g must have 3 components"),
+    ("noise", "lam", [1.0, 0.0, 1.0], "noise.lam[1] must be positive"),
+    ("params", "a", "x", "params.a must be a finite number"),
+    ("precession", "n", [1.0, 1.0, 0.0], "precession.n must be a unit vector within 1e-12"),
+    ("trajectory", "n_traj", 99, "trajectory.n_traj must be at least 100"),
+])
+def test_value_type_refusals_name_their_block(block, key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(json.dumps(edited(block, key, value)))
+
+
+def test_value_type_refusal_comes_before_route_errors():
+    # noise without precession: the value type's refusal is the one reported
+    lone_noise = {"mode": "evolve", "noise": {"g": [0.1] * 3, "lam": [1.0, 0.0, 1.0]},
+                  "times": [0.1]}
+    with pytest.raises(ConfigError, match=r"^noise\.lam\[1\] must be positive$"):
+        parse_config(json.dumps(lone_noise))
 
 
 # Fuzzing edits the golden configs: it sets or drops the top-level keys,
@@ -815,8 +893,8 @@ def fuzzed_configs(draw):
     obj = copy.deepcopy(draw(st.sampled_from(list(GOLDEN_CONFIGS.values()))))
     for _ in range(draw(st.integers(1, 3))):
         # mode last: hypothesis favours early choices, and a bad mode stops the parse
-        paths = [(block, key) for block, fields in _SCHEMA.items()
-                 if isinstance(obj.get(block), dict) for key in fields]
+        paths = [(block, key) for block, (_, keys) in _SCHEMA.items()
+                 if isinstance(obj.get(block), dict) for key in keys]
         paths += [(None, key) for key in ("initial", *_SCHEMA, "unknown", "mode")]
         block, key = draw(st.sampled_from(paths))
         target = obj if block is None else obj[block]

@@ -4,6 +4,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -572,8 +574,8 @@ def _digest(*arrays):
 
 # SHA-256 of the little-endian float64 bytes of mean_stokes then stderr, pinned
 # on one Philox stream per 256-trajectory block, drawn step-major at the block's
-# full width, and on the shifted two-pass block moments: a kernel rewrite that
-# keeps that draw order must keep them
+# full width, on the shifted two-pass block moments and on the OU decay taken
+# by math.exp: a kernel rewrite that keeps that draw order must keep them
 GOLDEN_ENSEMBLES = {
     # 2600 = 10 full blocks + a 40-trajectory tail, wider than one group
     "tail-block-above-group": (
@@ -599,7 +601,7 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
         dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
         1,
-        "c658632264b47ed10acd2d41b3dc2e976c2d1e4ff97a66105ad994855206b352",
+        "4cf732b518074102604c2080ff6a7bdbe8364effec246b6dbb1038ffad3d3c25",
     ),
     "round-trip": (
         mc_double_pass,
@@ -625,8 +627,24 @@ def test_golden_trajectory_bits():
     fp = FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8))
     cfg = TrajectoryConfig(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11,
                            initial=StokesVector(0.3, -0.5, 0.6))
-    expected = "bce92e8668bf48fbd5bdeb42b2260667af8bcd861f31f7a70da5a887e79af38c"
+    expected = "9cc9b9eb1cbbeed9031b6deb8c756c678a167a52b8c88d277501a57e37347119"
     assert _digest(evolve_trajectory(spec, fp, cfg, 257)) == expected
+
+
+def test_stochastic_goldens_hold_on_the_avx2_loops():
+    # numpy picks its ufunc loops by CPU at import; with its AVX-512 loops
+    # disabled, a child runs the stochastic goldens on the loops a host without
+    # AVX-512 takes, and must read the same pinned digests
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    src = os.path.join(os.path.dirname(tests), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    ids = [os.path.join(tests, f"test_montecarlo.py::{name}")
+           for name in ("test_golden_ensemble_bits", "test_golden_trajectory_bits")]
+    ids.append(os.path.join(tests, "test_cli.py::test_golden_cli_bytes"))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:]
 
 
 @pytest.mark.parametrize("round_trip", [False, True])

@@ -3,6 +3,7 @@ computed overflow stays a numerical failure rather than invalid input."""
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from fiberpol import (
     lambda_weights,
     mueller_closed_form,
     noise_cp_condition,
+    ou_step,
     params_from_kossakowski,
     r_observable,
     relaxation_times,
@@ -158,6 +160,33 @@ def test_array_fields_refuse_non_finite_entries(cls, bad):
                 continue
             with pytest.raises(InvalidInputError, match="must have finite entries"):
                 cls(**{**kwargs, name: changed})
+
+
+TRAJECTORY = dict(dt=0.01, n_steps=10, n_traj=100, seed=1)
+#: values that are not numbers at all, or not as many as a field holds
+NOT_NUMBERS = {
+    "NoiseSpec-scalar-g": (lambda: NoiseSpec(g=5.0, lam=(1, 1, 1)), "g must have 3 components"),
+    "FreePrecession-None-n": (lambda: FreePrecession(1.0, n=None), "n must have 3 components"),
+    "KossakowskiMatrix-string": (lambda: KossakowskiMatrix("abc"),
+                                 "Kossakowski matrix must be an array of numbers"),
+    "KossakowskiMatrix-ragged": (lambda: KossakowskiMatrix([[1, 2, 3], [3]]),
+                                 "Kossakowski matrix must be an array of numbers"),
+    "KossakowskiMatrix-huge-int": (lambda: KossakowskiMatrix([[10**400] * 3] * 3),
+                                   "Kossakowski matrix must have finite entries"),
+    "StokesVector-object": (lambda: StokesVector.from_array(object()),
+                            "Stokes vector must be an array of numbers"),
+    "TrajectoryConfig-string-initial": (lambda: TrajectoryConfig(**TRAJECTORY, initial="abc"),
+                                        "initial must be an array of numbers"),
+    "ou_step-string-g": (lambda: ou_step(0.0, "a", 1.0, 0.1, 0.0),
+                         "g must hold one or more numbers"),
+    "ou_step-empty-g": (lambda: ou_step(0.0, [], 1.0, 0.1, 0.0), "g must hold one or more numbers"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_values_that_are_not_numbers_are_refused_by_name(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _fake_r_point(p, omega, t):
