@@ -379,7 +379,11 @@ def _table(times, **stems):
 def _mode_evolve(cfg: RunConfig):
     gen = build_generator(*_generator_pieces(cfg))
     s0 = cfg.initial.as_array()
-    return _table(cfg.times, rho=[mueller_exact(gen, t).matrix @ s0 for t in cfg.times])
+    rho = np.array([mueller_exact(gen, t).matrix @ s0 for t in cfg.times])
+    finite = np.isfinite(rho).all(axis=1)
+    if not finite.all():  # finite matrix entries can still give an infinite state
+        raise NumericalFailureError(f"Stokes vector at t = {cfg.times[finite.argmin()]} is not finite")
+    return _table(cfg.times, rho=rho)
 
 
 def _mode_mueller(cfg: RunConfig):

@@ -57,6 +57,8 @@ def frozen_array(value, shape=None, what="array", dtype=float, finite=True) -> n
     InvalidInputError unless its shape is shape (any if None) and, if finite, its entries are.
     """
     try:
+        if np.asarray(value).dtype.kind in "bSU":  # bools and strings, refused as _checked does
+            raise TypeError(what)
         arr = np.array(value, dtype=dtype)
     except OverflowError as exc:  # an integer beyond the float range counts as infinite
         raise InvalidInputError(f"{what} must have finite entries") from exc

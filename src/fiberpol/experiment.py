@@ -89,9 +89,7 @@ class RScanResult:
 
 
 def _r_point(p: DissipativeParams, omega: float, t: float):
-    """(forward matrix, plus_double, r_value, r_closed, cp_verdict) at one float time t."""
-    if not t > 0.0:
-        raise InvalidInputError("R(t) needs a strictly positive time")
+    """(forward matrix, plus_double, r_value, r_closed, cp_verdict) at one checked time t > 0."""
     forward = _closed_form(p, p.b, omega, t)
     backward = _closed_form(p, -p.b, -omega, t)
     plus_single = forward[:, 0]
@@ -130,7 +128,7 @@ def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResu
     :class:`NumericalFailureError` when R, its exponential or a probe's
     Stokes vector is not finite.
     """
-    t, omega = float(t), _checked("finite", omega, "omega")
+    t, omega = _checked("positive", t, "time"), _checked("finite", omega, "omega")
     forward, plus_double, r_value, r_closed, cp_verdict = _r_point(p, omega, t)
     _require_finite((forward[:, 0], plus_double, forward[:, 2]), f"a probe's Stokes vector at t = {t}")
     return ExperimentResult(
@@ -163,12 +161,12 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
 
 @np.errstate(over="ignore", invalid="ignore")  # as in r_observable
 def r_scan(p: DissipativeParams, omega: float, times) -> RScanResult:
-    """Evaluate R over a time grid, flagging singular points instead of failing."""
+    """Evaluate R over a grid of positive times, flagging singular points instead of failing."""
     omega = _checked("finite", omega, "omega")
     rows: list[tuple] = []
     singular: list[float] = []
     for t in times:
-        t = float(t)
+        t = _checked("positive", t, "time")
         try:
             rows.append((t, *_r_point(p, omega, t)[2:]))
         except SingularConfigurationError:

@@ -190,10 +190,11 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
 
     which reproduces the transition law of the process exactly for any
     dt: no Euler bias.  The stationary variance is g.  Scalars and arrays
-    broadcast alike; each entry obeys the rules of NoiseSpec and TrajectoryConfig.
+    broadcast alike; each entry is finite and obeys the rules of NoiseSpec and TrajectoryConfig.
     """
-    for name, rule, value in (("g", "non-negative", g), ("lam", "positive", lam),
-                              ("dt", "positive", dt), ("mean", "finite", mean)):
+    for name, rule, value in (("f_prev", "finite", f_prev), ("g", "non-negative", g),
+                              ("lam", "positive", lam), ("dt", "positive", dt),
+                              ("noise", "finite", noise), ("mean", "finite", mean)):
         try:
             extremes = np.min(value), np.max(value)  # NaN propagates to both
         except (TypeError, ValueError) as exc:  # not numbers, ragged or empty

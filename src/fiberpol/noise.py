@@ -33,6 +33,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedConfigurationError,
     _Validated,
+    _checked,
     _require_finite,
     frozen_array,
 )
@@ -92,6 +93,7 @@ class CMatrix(_Validated):
 
 def correlation(spec: NoiseSpec, i: int, j: int, t: float) -> float:
     """Two-time covariance <F_i(t) F_j(0)> - <F_i><F_j>, axes numbered 1..3."""
+    i, j, t = _checked("integer", i, "i"), _checked("integer", j, "j"), _checked("finite", t, "time")
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise InvalidInputError("axis labels i, j must be in {1, 2, 3}")
     if i != j:
@@ -133,7 +135,7 @@ def pauli_rotation(fp: FreePrecession, t: float) -> np.ndarray:
     U(t) is orthogonal with determinant 1 and composes as
     U(t + s) = U(t) U(s).
     """
-    return _pauli_rotation_batch(fp, np.array([float(t)]))[0]
+    return _pauli_rotation_batch(fp, np.array([_checked("finite", t, "time")]))[0]
 
 
 # squares are products, inf past the float range, not an OverflowError; refused below

@@ -102,9 +102,7 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
     Works for any generator.  Negative times are rejected: the averaged
     evolution is a forward semigroup only.
     """
-    t = float(t)
-    if not t >= 0.0:
-        raise InvalidInputError("evolution time must be non-negative")
+    t = _checked("non-negative", t, "evolution time")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         m = expm(-2.0 * t * g.matrix)
     return MuellerMatrix(_require_finite(m, f"matrix exponential at t = {t}"), t)
@@ -114,13 +112,12 @@ def _closed_form(p: DissipativeParams, b: float, omega: float, t: float) -> np.n
     """The closed-form 3x3 matrix, with b and omega taken apart from p.
 
     The mirror flips only b and omega, so both passes share this kernel.
+    Each caller has checked t: finite and non-negative.
     """
     if abs(p.c) > TOL or abs(p.beta) > TOL:
         raise UnsupportedConfigurationError(
             "closed form requires c = beta = 0 (within 1e-12); use mueller_exact instead"
         )
-    if not t >= 0.0:
-        raise InvalidInputError("evolution time must be non-negative")
     try:
         omega_sq = omega**2 - b**2 - 0.25 * (p.a - p.alpha) ** 2
         damped_cos, damped_sinc = _damped_trig(p.a + p.alpha, omega_sq, t)
@@ -143,7 +140,7 @@ def mueller_closed_form(p: DissipativeParams, omega: float, t: float) -> Mueller
     Transverse couplings beyond 1e-12 are unsupported here; use
     :func:`mueller_exact` for those.  Requires t >= 0.
     """
-    t = float(t)
+    t = _checked("non-negative", t, "evolution time")
     m = _closed_form(p, p.b, _checked("finite", omega, "omega"), t)
     return MuellerMatrix(_require_finite(m, f"closed-form propagator at t = {t}"), t)
 
@@ -156,7 +153,7 @@ def backward_mueller(p: DissipativeParams, omega: float, t: float) -> MuellerMat
     unchanged.  The mirror itself is absorbed into this matrix, so the
     round trip is backward_mueller @ mueller_closed_form.
     """
-    t = float(t)
+    t = _checked("non-negative", t, "evolution time")
     m = _closed_form(p, -p.b, -_checked("finite", omega, "omega"), t)
     return MuellerMatrix(_require_finite(m, f"closed-form propagator at t = {t}"), t)
 
@@ -170,7 +167,7 @@ def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) 
     """
     if not s0.is_physical():
         raise InvalidInputError("initial Stokes vector exceeds the unit ball beyond 1e-12")
-    t, omega = float(t), _checked("finite", omega, "omega")
+    t, omega = _checked("non-negative", t, "evolution time"), _checked("finite", omega, "omega")
     forward = _closed_form(p, p.b, omega, t)
     backward = _closed_form(p, -p.b, -omega, t)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below

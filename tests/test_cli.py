@@ -651,7 +651,11 @@ NON_CP = {"a": -1.0, "b": 0.0, "c": 0.0, "alpha": -1.0, "beta": 0.0, "gamma": -1
      "times": [1.0, 400.0]},
     {"mode": "experiment", "params": dict(NON_CP, a=0.1, alpha=0.1, gamma=0.3, omega=5.0),
      "times": [1.0, 1e308]},
-], ids=["evolve", "mueller", "experiment-damping", "experiment-r", "experiment-huge-t"])
+    # every entry of M(t) is finite, but M21 s1 + M22 s2 passes the float range
+    {"mode": "evolve", "params": dict(NON_CP, gamma=0.0, omega=[0, 0, 0.0011065374670988874]),
+     "times": [354.8914], "initial": [0.7071067811865475, 0.7071067811865475, 0.0]},
+], ids=["evolve", "mueller", "experiment-damping", "experiment-r", "experiment-huge-t",
+        "evolve-state"])
 def test_non_finite_results_exit_3(tmp_path, capsys, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -74,7 +74,7 @@ def test_r_invariant_under_omega_sign():
 
 def test_r_requires_positive_time():
     p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
-    with pytest.raises(InvalidInputError, match="positive time"):
+    with pytest.raises(InvalidInputError, match="^time must be positive$"):
         r_observable(p, 1.0, 0.0)
 
 

@@ -183,7 +183,7 @@ def test_negative_time_rejected():
         mueller_closed_form(p, 1.0, -0.1)
 
 
-@pytest.mark.parametrize("t", [math.inf, 1e308, 400.0])
+@pytest.mark.parametrize("t", [1e308, 400.0])
 def test_exact_overflow_is_a_typed_error(t):
     # gamma < 0 is not CP: M33 = e^{2 t} overflows by t = 400
     p = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=-1.0)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from fiberpol import (
     RScanResult,
     StokesVector,
     TrajectoryConfig,
+    backward_mueller,
     build_generator,
     c_matrix_closed,
+    correlation,
     cp_inequalities,
     double_pass,
     effective_hamiltonian,
@@ -40,10 +43,13 @@ from fiberpol import (
     kossakowski_from_params,
     lambda_weights,
     mueller_closed_form,
+    mueller_exact,
     noise_cp_condition,
     ou_step,
     params_from_kossakowski,
+    pauli_rotation,
     r_observable,
+    r_scan,
     relaxation_times,
     simplified_params,
     stokes_from_density,
@@ -187,6 +193,51 @@ NOT_NUMBERS = {
 def test_values_that_are_not_numbers_are_refused_by_name(call, message):
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+P = DissipativeParams(a=1.0, b=0.0, c=0.0, alpha=1.0, beta=0.0, gamma=1.0)
+SPEC = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
+#: each public function's time argument, and the name its refusal gives
+TIME_ARGUMENTS = {
+    "mueller_exact": (lambda t: mueller_exact(build_generator(P, (0.0, 0.0, 1.0)), t),
+                      "evolution time"),
+    "mueller_closed_form": (lambda t: mueller_closed_form(P, 1.0, t), "evolution time"),
+    "backward_mueller": (lambda t: backward_mueller(P, 1.0, t), "evolution time"),
+    "double_pass": (lambda t: double_pass(P, 1.0, t, StokesVector(1.0, 0.0, 0.0)),
+                    "evolution time"),
+    "r_observable": (lambda t: r_observable(P, 1.0, t), "time"),
+    "r_scan": (lambda t: r_scan(P, 1.0, [0.5, t]), "time"),
+    "pauli_rotation": (lambda t: pauli_rotation(FreePrecession(1.0), t), "time"),
+    "correlation": (lambda t: correlation(SPEC, 1, 1, t), "time"),
+}
+NOT_TIMES = {"string": "0.5", "None": None, "bool": True, "list": [0.5], "nan": math.nan,
+             "inf": math.inf, "10**400": 10**400}
+#: a public function argument the number or array rule refuses: the call, and how its
+#: refusal begins
+REFUSED_ARGUMENTS = {
+    **{f"{fn}-{kind}": (partial(call, bad), f"{name} must be ")
+       for fn, (call, name) in TIME_ARGUMENTS.items() for kind, bad in NOT_TIMES.items()},
+    "ou_step-string-f_prev": (lambda: ou_step("a", 1.0, 1.0, 0.1, 0.0), "f_prev must "),
+    "ou_step-nan-f_prev": (lambda: ou_step(math.nan, 1.0, 1.0, 0.1, 0.0), "f_prev must be "),
+    "ou_step-string-noise": (lambda: ou_step(0.0, 1.0, 1.0, 0.1, "x"), "noise must "),
+    "ou_step-nan-noise": (lambda: ou_step(0.0, 1.0, 1.0, 0.1, math.nan), "noise must be "),
+    "correlation-bool-axis": (lambda: correlation(SPEC, True, 1, 0.0), "i must be an integer"),
+    "correlation-float-axis": (lambda: correlation(SPEC, 1, 1.0, 0.0), "j must be an integer"),
+    "StokesVector-strings": (lambda: StokesVector.from_array(["1", "0", "0"]),
+                             "Stokes vector must be an array of numbers"),
+    "StokesVector-bools": (lambda: StokesVector.from_array([True, False, False]),
+                           "Stokes vector must be an array of numbers"),
+    "MuellerMatrix-strings": (lambda: MuellerMatrix([["1", "0", "0"]] * 3, 0.0),
+                              "Mueller matrix must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("call, start", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS)
+def test_public_arguments_are_refused_by_name(call, start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no raw numpy warning first
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(start)}"):
+            call()
 
 
 def _fake_r_point(p, omega, t):
