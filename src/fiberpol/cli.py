@@ -28,13 +28,13 @@ TrajectoryConfig) declare the fields, defaults and rules of the noise,
 precession, params and trajectory blocks; ``_SCHEMA`` adds only the keys
 JSON adds (params.omega, trajectory.double_pass) and the times and output
 blocks.  A refusal names its block, as in "noise.lam[1] must be positive".
-Modes that need a generator (evolve, mueller, cp-check, experiment) take
-exactly one of "noise"+"precession" or "params"; the stochastic modes
-(montecarlo, compare) take "noise"+"precession"+"trajectory" and no
-explicit params.  Command-line flags override the corresponding config
-fields before the config is validated.  The stochastic modes split their
-trajectories over every CPU in the process's affinity mask; the output
-bytes do not depend on the count.
+``_MODES`` is the one declaration of what each mode runs on: evolve, mueller,
+cp-check and experiment take exactly one of "noise"+"precession" or "params";
+montecarlo and compare take "noise"+"precession"+"trajectory" and no params;
+evolve, mueller and experiment take "times".  Command-line flags override the
+corresponding config fields before the config is validated.  The stochastic
+modes split their trajectories over every CPU in the process's affinity mask;
+the output bytes do not depend on the count.
 
 Output contract: the first CSV line is a "# metadata: {...}" record
 (config digest, package version, seed), then a header row, then data
@@ -241,7 +241,7 @@ def parse_config(config: str | dict) -> RunConfig:
     mode = obj.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}")
-    _, stochastic, timed = _MODES[mode]
+    _, route, needs = _MODES[mode]
 
     # every value as validated, defaults filled in, which the digest covers
     digested = {"mode": mode}
@@ -263,22 +263,14 @@ def parse_config(config: str | dict) -> RunConfig:
         raise ConfigError("precession is required alongside noise")
     if precession is not None and noise is None:
         raise ConfigError("precession is only meaningful together with noise")
-    if not stochastic and (noise is None) == (params is None):
-        raise ConfigError(f"mode {mode!r} needs exactly one of noise or params")
-    if stochastic and noise is None:
-        raise ConfigError(f"mode {mode!r} needs noise and precession")
-    if stochastic and params is not None:
+    if (noise is None) if route == _NOISE else (noise is None) == (params is None):
+        raise ConfigError(f"mode {mode!r} needs {route}")
+    if route == _NOISE and params is not None:
         raise ConfigError(f"mode {mode!r} derives its dynamics from noise; params is not allowed")
-    if timed and "times" not in digested:
-        raise ConfigError(f"mode {mode!r} requires times")
-    if stochastic and trajectory is None:
-        raise ConfigError(f"mode {mode!r} requires a trajectory block")
+    for block in needs:
+        if block not in obj:
+            raise ConfigError(f"mode {mode!r} requires {_NEEDED[block]}")
     round_trip = digested["trajectory"]["double_pass"] if trajectory is not None else False
-    if mode == "montecarlo":
-        n_rows = (2 if round_trip else 1) * trajectory.n_steps + 1
-        if n_rows > _MAX_GRID_POINTS:
-            raise ConfigError(f"trajectory: montecarlo would write {n_rows} rows, "
-                              f"more than {_MAX_GRID_POINTS}; use fewer steps")
 
     digested = {name: dict(sorted(value.items())) if isinstance(value, dict) else value
                 for name, value in sorted(digested.items())}
@@ -378,11 +370,7 @@ def _table(times, **stems):
 
 def _mode_evolve(cfg: RunConfig):
     gen = build_generator(*_generator_pieces(cfg))
-    s0 = cfg.initial.as_array()
-    rho = np.array([mueller_exact(gen, t).matrix @ s0 for t in cfg.times])
-    finite = np.isfinite(rho).all(axis=1)
-    if not finite.all():  # finite matrix entries can still give an infinite state
-        raise NumericalFailureError(f"Stokes vector at t = {cfg.times[finite.argmin()]} is not finite")
+    rho = np.array([mueller_exact(gen, t).apply(cfg.initial).as_array() for t in cfg.times])
     return _table(cfg.times, rho=rho)
 
 
@@ -395,14 +383,12 @@ def _mode_mueller(cfg: RunConfig):
 def _mode_cp_check(cfg: RunConfig):
     params, _ = _generator_pieces(cfg)
     residuals = cp_inequalities(params)._asdict()
-    noise_residual = unsupported = None
+    noise_residual = None
     if cfg.noise is not None:
         try:
             noise_residual = noise_cp_condition(cfg.noise, cfg.precession)
         except UnsupportedConfigurationError as exc:
-            unsupported = str(exc)
-    if unsupported is not None:
-        _diagnostic("warning", "no-noise-residual", unsupported)
+            _diagnostic("warning", "no-noise-residual", str(exc))
     row = {
         **residuals,
         "min_eig": float(np.linalg.eigvalsh(kossakowski_from_params(params).matrix)[0]),
@@ -428,6 +414,10 @@ def _mode_experiment(cfg: RunConfig):
 
 
 def _mode_montecarlo(cfg: RunConfig):
+    n_rows = (2 if cfg.round_trip else 1) * cfg.trajectory.n_steps + 1
+    if n_rows > _MAX_GRID_POINTS:
+        raise ConfigError(f"trajectory: montecarlo would write {n_rows} rows, "
+                          f"more than {_MAX_GRID_POINTS}; use fewer steps")
     runner = mc_double_pass if cfg.round_trip else ensemble_average
     ens = runner(cfg.noise, cfg.precession, cfg.trajectory, n_workers=_available_cpus())
     return _table(ens.times, mean=ens.mean_stokes, stderr=ens.stderr)
@@ -441,14 +431,17 @@ def _mode_compare(cfg: RunConfig):
     return columns, rows, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
 
 
-#: mode -> (handler, stochastic: needs noise and a trajectory block, needs times)
+#: the two routes to the dynamics, and the blocks a mode may need besides, as refusals name them
+_EITHER, _NOISE = "exactly one of noise or params", "noise and precession"
+_NEEDED = {"times": "times", "trajectory": "a trajectory block"}
+#: mode -> (handler, route, the blocks it needs): the one declaration of what a mode runs on
 _MODES = {
-    "evolve": (_mode_evolve, False, True),
-    "mueller": (_mode_mueller, False, True),
-    "cp-check": (_mode_cp_check, False, False),
-    "experiment": (_mode_experiment, False, True),
-    "montecarlo": (_mode_montecarlo, True, False),
-    "compare": (_mode_compare, True, False),
+    "evolve": (_mode_evolve, _EITHER, ("times",)),
+    "mueller": (_mode_mueller, _EITHER, ("times",)),
+    "cp-check": (_mode_cp_check, _EITHER, ()),
+    "experiment": (_mode_experiment, _EITHER, ("times",)),
+    "montecarlo": (_mode_montecarlo, _NOISE, ("trajectory",)),
+    "compare": (_mode_compare, _NOISE, ("trajectory",)),
 }
 #: the mode names, a tuple: membership of an unhashable value is False, not a TypeError
 MODES = tuple(_MODES)

@@ -57,8 +57,11 @@ def frozen_array(value, shape=None, what="array", dtype=float, finite=True) -> n
     InvalidInputError unless its shape is shape (any if None) and, if finite, its entries are.
     """
     try:
-        if np.asarray(value).dtype.kind in "bSU":  # bools and strings, refused as _checked does
-            raise TypeError(what)
+        # bools and strings, refused as by _checked, entry by entry: numpy upcasts a bool
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "iufc"):
+            value = np.array(value, dtype=object)
+            if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in value.flat):
+                raise TypeError(what)
         arr = np.array(value, dtype=dtype)
     except OverflowError as exc:  # an integer beyond the float range counts as infinite
         raise InvalidInputError(f"{what} must have finite entries") from exc

@@ -532,8 +532,7 @@ def mc_vs_master_report(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConf
     idx = np.unique(np.round(np.linspace(0, cfg.n_steps, _REPORT_ROWS)).astype(int))
     ens = ensemble_average(spec, fp, cfg, n_workers=n_workers, rows=idx)
     gen = build_generator(*_averaged_dynamics(spec, fp))
-    s0 = cfg.initial.as_array()
-    master = np.stack([mueller_exact(gen, t).matrix @ s0 for t in ens.times])
+    master = np.stack([mueller_exact(gen, t).apply(cfg.initial).as_array() for t in ens.times])
     mc = ens.mean_stokes
     err = ens.stderr
     diff = mc - master

@@ -40,6 +40,8 @@ from .errors import (
 from .generator import DissipativeParams, params_from_kossakowski
 
 QUADRATURE_ABS_TOL = 1e-9
+#: the most panels one quadrature pass may take: 2**20 nodes, a 75 MB rotation stack
+_MAX_PANELS = 2**16
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -111,6 +113,7 @@ def _cross_matrix(n) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an angle past the float range gives NaN
 def _pauli_rotation_batch(fp: FreePrecession, t: np.ndarray) -> np.ndarray:
     """Rotation coefficients U(t) for an array of times, shape (len(t), 3, 3)."""
     n = np.array(fp.n)
@@ -133,9 +136,10 @@ def pauli_rotation(fp: FreePrecession, t: float) -> np.ndarray:
                   - eps_ijk n_k sin(omega0 t).
 
     U(t) is orthogonal with determinant 1 and composes as
-    U(t + s) = U(t) U(s).
+    U(t + s) = U(t) U(s).  An angle past the float range raises NumericalFailureError.
     """
-    return _pauli_rotation_batch(fp, np.array([_checked("finite", t, "time")]))[0]
+    t = _checked("finite", t, "time")
+    return _require_finite(_pauli_rotation_batch(fp, np.array([t]))[0], f"Pauli rotation at t = {t}")
 
 
 # squares are products, inf past the float range, not an OverflowError; refused below
@@ -178,6 +182,8 @@ def c_matrix_closed(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
 
 
 def _quadrature_pass(spec: NoiseSpec, fp: FreePrecession, t_max: float, n_seg: int) -> np.ndarray:
+    if n_seg > _MAX_PANELS:
+        raise NumericalFailureError(f"damping-matrix quadrature needs over {_MAX_PANELS} panels")
     edges = np.linspace(0.0, t_max, n_seg + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -196,12 +202,14 @@ def c_matrix_quadrature(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     composite Gauss-Legendre panels sized to resolve both the precession
     and the decay.  The panel count is doubled until two consecutive
     refinements agree within 1e-9 absolutely; failure to converge raises
-    :class:`NumericalFailureError` carrying the last residual.
+    :class:`NumericalFailureError` carrying the last residual.  A pass that
+    would take more than 65,536 panels, as a long correlation time or a fast
+    precession asks for, raises it too, before anything is allocated.
     """
-    lam = np.array(spec.lam)
-    t_max = 40.0 / lam.min()
-    rate = abs(fp.omega0) + lam.max()
-    n_seg = int(math.ceil(t_max * rate / math.pi)) + 16
+    t_max = 40.0 / min(spec.lam)  # floats: past the float range is inf, not a warning
+    rate = abs(fp.omega0) + max(spec.lam)
+    # clipped, as t_max * rate may be inf: the first pass refuses a count past the bound
+    n_seg = math.ceil(min(t_max * rate / math.pi, _MAX_PANELS)) + 16
     prev = _quadrature_pass(spec, fp, t_max, n_seg)
     residual = math.inf
     for _ in range(4):

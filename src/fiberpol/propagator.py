@@ -167,9 +167,4 @@ def double_pass(p: DissipativeParams, omega: float, t: float, s0: StokesVector) 
     """
     if not s0.is_physical():
         raise InvalidInputError("initial Stokes vector exceeds the unit ball beyond 1e-12")
-    t, omega = _checked("non-negative", t, "evolution time"), _checked("finite", omega, "omega")
-    forward = _closed_form(p, p.b, omega, t)
-    backward = _closed_form(p, -p.b, -omega, t)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        out = backward @ (forward @ s0.as_array())
-    return StokesVector.from_array(_require_finite(out, f"double-pass Stokes vector at t = {t}"))
+    return backward_mueller(p, omega, t).apply(mueller_closed_form(p, omega, t).apply(s0))

@@ -1,6 +1,7 @@
 """Tests for the noise model: correlations, damping matrix, effective precession."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fiberpol import (
     FreePrecession,
     InvalidInputError,
     NoiseSpec,
+    NumericalFailureError,
     UnsupportedConfigurationError,
     c_matrix_closed,
     c_matrix_quadrature,
@@ -132,6 +134,19 @@ def test_c_matrix_closed_vs_quadrature():
         closed = c_matrix_closed(spec, fp).matrix
         quad = c_matrix_quadrature(spec, fp).matrix
         assert np.max(np.abs(closed - quad)) < 1e-6
+
+
+@pytest.mark.parametrize("spec, fp", [
+    (NoiseSpec(g=(1.0, 1.0, 1.0), lam=(1e-300, 1.0, 1.0)), FreePrecession(1.0)),
+    (NoiseSpec(g=(1.0, 1.0, 1.0), lam=(1.0, 1.0, 1.0)), FreePrecession(1e300)),
+    # about 2.5e5 panels at the start, a 0.6 GB rotation stack at the first doubling
+    (NoiseSpec(g=(1.0, 1.0, 1.0), lam=(1e-4, 1.0, 1.0)), FreePrecession(1.0)),
+], ids=["lam-1e-300", "omega0-1e300", "lam-1e-4"])
+def test_quadrature_refuses_a_panel_count_past_its_bound(spec, fp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="needs over 65536 panels"):
+            c_matrix_quadrature(spec, fp)
 
 
 def test_c_matrix_omega_zero_is_diagonal():

@@ -227,6 +227,9 @@ REFUSED_ARGUMENTS = {
                              "Stokes vector must be an array of numbers"),
     "StokesVector-bools": (lambda: StokesVector.from_array([True, False, False]),
                            "Stokes vector must be an array of numbers"),
+    # numpy upcasts the list to int64, so the bool shows only entry by entry
+    "StokesVector-bool-among-numbers": (lambda: StokesVector.from_array([1, True, 0]),
+                                        "Stokes vector must be an array of numbers"),
     "MuellerMatrix-strings": (lambda: MuellerMatrix([["1", "0", "0"]] * 3, 0.0),
                               "Mueller matrix must be an array of numbers"),
 }
@@ -278,6 +281,8 @@ QUIET = {
         DissipativeParams(-1009.0, 0.0, 0.0, 300.0, 0.0, 0.0), 654.5, 1.0),
     # omega0 = 1e200: its square passes the float range
     "c_matrix_closed-omega0": lambda: c_matrix_closed(NOISE, FreePrecession(1e200)),
+    # omega0 t passes the float range, and cos and sin of inf are NaN
+    "pauli_rotation": lambda: pauli_rotation(FreePrecession(1e200), 1e200),
     "effective_hamiltonian-omega0": lambda: effective_hamiltonian(NOISE, FreePrecession(1e200)),
     "noise_cp_condition-omega0": lambda: noise_cp_condition(NOISE, FreePrecession(1e200)),
     "simplified_params-omega0": lambda: simplified_params(NOISE, FreePrecession(1e200)),
