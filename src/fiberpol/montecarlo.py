@@ -14,18 +14,18 @@ converge to the master-equation solution in the weak-coupling regime
 
 Determinism contract
 --------------------
-Trajectory j draws all of its normals from the counter-based Philox
-stream of its block, keyed by (seed, j // _BLOCK) and always drawn at the
-block's full width, so they depend on (seed, j) alone: not on n_traj, the
-worker count, the group width or the draw chunk.  Moments are taken in
-these blocks by a shifted two-pass: the deviations from the block's first
-trajectory are summed into the mean, and the squared deviations from that
-mean into the second moment, each sum in numpy's pairwise order over the
-block's contiguous columns.  Blocks are merged in block order, their
+Trajectory j draws all of its normals from the SFC64 stream of its stripe,
+seeded SeedSequence([seed, j // _STRIPE]) and always drawn at the stripe's
+full width, so they depend on (seed, j) alone: not on n_traj, the worker
+count, the group width or the draw chunk.  Moments are taken in blocks of
+_BLOCK trajectories by a shifted two-pass: the deviations from the block's
+first trajectory are summed into the mean, and the squared deviations from
+that mean into the second moment, each sum in numpy's pairwise order over
+the block's contiguous columns.  Blocks are merged in block order, their
 means taken less the run's first trajectory.  The bits rest on that fixed
-order alone, so ensemble means and standard errors are bit-identical at
-a fixed seed.  Every deviation among identical trajectories is exactly
-zero, so is their variance, which the zero-noise limit relies on.
+order alone, so ensemble means and standard errors are bit-identical at a
+fixed seed.  Every deviation among identical trajectories is exactly zero,
+so is their variance, which the zero-noise limit relies on.
 
 The propagation width is decoupled from the moment block: a group of
 up to _GROUP_BLOCKS blocks is advanced side by side in component-major
@@ -43,20 +43,22 @@ parent merges every block in block order, so the worker count does not
 change the bits.  Without fork there is one share, and the groups run in
 order in the calling process.
 
-Draw order per block and pass: n_steps + 1 rows of (3, _BLOCK) standard
-normals, trajectory j in column j % _BLOCK; row 0 initializes F from its
-stationary law N(mean, G), row k relaxes F to time k dt.  Rows after row
-0 are drawn _CHUNK at a time, the same values as one (n_steps, 3, _BLOCK)
-draw, and every block's wanted columns are scaled into one contiguous
-kick buffer.  The kernel is a plain stream: it yields its one state,
-updated in place, at row 0 and after every step.  The moments alone pick
-the kept rows: they copy each into a batch of at most _KEPT_SLOTS rows
-and take every block's two-pass over its columns of the batch when it is
-full and after the last kept row, where the stream stops.  Memory holds
-one chunk of normals and of kicks whatever n_steps, and the work after
-propagation scales with the kept rows.  A round trip's return pass draws
-on from the same streams, a fresh stationary realization, not a
-time-reversed replay: the flight outlasts the noise correlation by far.
+Draw order per stripe and pass: n_steps + 1 rows of (3, _STRIPE) standard
+normals, trajectory j in column j % _STRIPE.  The kernel relaxes the OU
+process v = F + sign (omega0 / 2) n, of mean c = mean + sign (omega0 / 2) n:
+row 0 draws v from N(c, G), row k relaxes it to time k dt as v decay +
+sigma normal + c (1 - decay).  Rows after row 0 are drawn _CHUNK at a time,
+the same values as one (n_steps, 3, _STRIPE) draw, and every stripe's
+wanted columns are scaled into one contiguous kick buffer.  The kernel is a
+plain stream: it yields its one state, updated in place, at row 0 and after
+every step.  The moments alone pick the kept rows: they copy each into a
+batch of at most _KEPT_SLOTS rows and take every block's two-pass over its
+columns of the batch when it is full and after the last kept row, where the
+stream stops.  Memory holds one chunk of normals and of kicks whatever
+n_steps, and the work after propagation scales with the kept rows.  A round
+trip's return pass draws on from the same streams, a fresh stationary
+realization, not a time-reversed replay: the flight outlasts the noise
+correlation by far.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ from .propagator import mueller_exact
 from .states import StokesVector
 
 _BLOCK = 256
+#: trajectories that share one random stream; divides _BLOCK
+_STRIPE = 128
 #: blocks propagated side by side
 _GROUP_BLOCKS = 8
 #: steps whose normals are drawn at a time
@@ -172,11 +176,9 @@ def _ou_coefficients(g, lam, dt):
     return decay, np.sqrt(g * (1.0 - decay**2))
 
 
-def _ou_relax(field, mean, decay, kick):
-    """Relax field in place over one step: ((field - mean) decay + mean) + kick."""
-    field -= mean
+def _ou_relax(field, decay, kick):
+    """Relax field in place over one step: field decay + kick, the kick holding the drift."""
     field *= decay
-    field += mean
     field += kick
 
 
@@ -185,12 +187,13 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
 
     Given a standard-normal draw, returns
 
-        mean + (f_prev - mean) e^{-lam dt}
-             + sqrt(g (1 - e^{-2 lam dt})) noise,
+        f_prev e^{-lam dt} + sqrt(g (1 - e^{-2 lam dt})) noise
+                           + mean (1 - e^{-lam dt}),
 
     which reproduces the transition law of the process exactly for any
     dt: no Euler bias.  The stationary variance is g.  Scalars and arrays
     broadcast alike; each entry is finite and obeys the rules of NoiseSpec and TrajectoryConfig.
+    A result past the float range raises NumericalFailureError.
     """
     for name, rule, value in (("f_prev", "finite", f_prev), ("g", "non-negative", g),
                               ("lam", "positive", lam), ("dt", "positive", dt),
@@ -202,15 +205,15 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
         for x in extremes:
             _checked(rule, x, name)
     g, lam = np.asarray(g, dtype=float), np.asarray(lam, dtype=float)
-    decay, sigma = _ou_coefficients(g, lam, dt)
     field = np.array(np.broadcast_arrays(f_prev, g, lam, noise, mean)[0], dtype=float)
-    _ou_relax(field, mean, decay, sigma * noise)
-    return field[()]  # a scalar for scalar input
+    with np.errstate(over="ignore"):  # an infinite lam dt decays by e^-inf = 0
+        decay, sigma = _ou_coefficients(g, lam, dt)
+        _ou_relax(field, decay, sigma * noise + mean * (1.0 - decay))
+    return _require_finite(field, "OU update")[()]  # a scalar for scalar input
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stripe_rng(seed: int, stripe: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, stripe])))
 
 
 def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
@@ -220,7 +223,7 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     States are component-major, shape (3, j1 - j0): column p holds trajectory
     j0 + p.  Yields the one state, updated in place, at row 0 and after
     every step: n_steps + 1 times, 2 n_steps + 1 on a round trip.  A caller
-    copies what it keeps before it asks for the next row.  Every block draws
+    copies what it keeps before it asks for the next row.  Every stripe draws
     its whole width, and every operation is the elementwise one of the
     Rodrigues step, so the bits depend on none of the range or the chunk.
     """
@@ -230,36 +233,36 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     g, lam, mean = (np.array(x)[:, None] for x in (spec.g, spec.lam, spec.mean))
     decay, step_sigma = _ou_coefficients(g, lam, cfg.dt)
     axis_term = 0.5 * fp.omega0 * np.array(fp.n)[:, None]
-    # per-component constants at full width: same values, faster ufunc loops
-    mean, decay = (np.repeat(x, width, axis=1) for x in (mean, decay))
+    # per-component constant at full width: same values, faster ufunc loops
+    wide_decay = np.repeat(decay, width, axis=1)
     two_dt = 2.0 * cfg.dt
-    # per block the range meets: its stream, the wanted columns of its normals, theirs here
-    streams = [(_block_rng(cfg.seed, b), slice(max(j0 - b * _BLOCK, 0), j1 - b * _BLOCK),
-                slice(max(b * _BLOCK - j0, 0), (b + 1) * _BLOCK - j0))
-               for b in range(j0 // _BLOCK, (j1 - 1) // _BLOCK + 1)]
+    # per stripe the range meets: its stream, the wanted columns of its normals, theirs here
+    streams = [(_stripe_rng(cfg.seed, s), slice(max(j0 - s * _STRIPE, 0), j1 - s * _STRIPE),
+                slice(max(s * _STRIPE - j0, 0), (s + 1) * _STRIPE - j0))
+               for s in range(j0 // _STRIPE, (j1 - 1) // _STRIPE + 1)]
 
-    normals = np.empty((chunk, 3, _BLOCK))
+    normals = np.empty((chunk, 3, _STRIPE))
     kicks = np.empty((chunk, 3, width))
     bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
     yield bloch
-    field, v, unit, cross, tmp = np.empty((5, 3, width))
+    v, unit, cross, tmp = np.empty((4, 3, width))
     vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
     (b0, b1, b2), (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = bloch, unit, cross, tmp
 
     for sign in (1.0, -1.0) if round_trip else (1.0,):
-        axis = np.repeat(sign * axis_term, width, axis=1)
-        # draw row 0 initializes F from its stationary law N(mean, G)
+        center = mean + sign * axis_term
+        # draw row 0 initializes v from its stationary law N(center, G)
         for gen, wanted, cols in streams:
             gen.standard_normal(out=normals[0])
-            np.multiply(normals[0, :, wanted], np.sqrt(g), out=field[:, cols])
-        field += mean
+            np.multiply(normals[0, :, wanted], np.sqrt(g), out=v[:, cols])
+        v += center
         for k0 in range(0, n, chunk):
             c = min(chunk, n - k0)
             for gen, wanted, cols in streams:
                 gen.standard_normal(out=normals[:c])
                 np.multiply(normals[:c, :, wanted], step_sigma, out=kicks[:c, :, cols])
+            kicks[:c] += center * (1.0 - decay)
             for i in range(c):
-                np.add(field, axis, out=v)
                 np.multiply(v, v, out=tmp)
                 np.add(t0, t1, out=vnorm)
                 vnorm += t2
@@ -292,8 +295,8 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 np.multiply(cross, sin_t, out=tmp)
                 bloch += tmp
                 yield bloch
-                # exact OU relaxation of F to the next step
-                _ou_relax(field, mean, decay, kicks[i])
+                # exact OU relaxation of v to the next step
+                _ou_relax(v, wide_decay, kicks[i])
 
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
@@ -368,7 +371,7 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
         for b0, b1 in zip(bounds[1:-1], bounds[2:]):
             # fork, not spawn: a spawned child re-imports numpy and scipy,
             # about 0.4 s, most of what it would save.  A child runs numpy
-            # ufuncs and Philox draws only, never BLAS, whose thread pool
+            # ufuncs and SFC64 draws only, never BLAS, whose thread pool
             # is the only other thread the parent may have.
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.get_context("fork").Process(

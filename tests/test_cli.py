@@ -784,15 +784,15 @@ GOLDEN_RUNS = {
     "experiment-json": ("experiment", ["--format", "json"],
         "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
     "montecarlo-csv": ("montecarlo", [],
-        "4388929356ec264460110eedd4a01f880511ed8f7adec358c83239af0b133658"),
+        "d55ec28726022e292f50028af04cb764e624c01af6240d697b1e4461a1492055"),
     "montecarlo-json": ("montecarlo", ["--format", "json"],
-        "59c7ec86fbe61bc64d5a73cfc12e1121c9479dba4db1047fc03522451a5b2880"),
+        "3d06d016c97a6503ee97d23fe8e1093b1b1c98c40a6b3eb521b61942880d9584"),
     "compare-csv": ("compare", [],
-        "acbeca9e9326d22d13e9ffe7412da96ddb856f3c2a43178ade261d85f5e989ee"),
+        "35bdab41b6a89c8b5be23a7e5e2d486425daa3ea4232ad33cf75dc6aad648e9a"),
     "compare-json": ("compare", ["--format", "json"],
-        "578b48053abeabbf99bb6636646b5dad927f021de69df3547c58b0de3a9709e4"),
+        "6627baa01491f22146aeefbff10b866767ba37300d614836142255937f166269"),
     "seed-override": ("montecarlo", ["--seed", "99"],
-        "d5a9c29ce94455bc22d1a9d407b4b73d4a69901f1b2b7547ad29cefe3b8e7e36"),
+        "e37df1c4d7365598447d0c6a73c53292e399d7bb43139a0517204f3997ffc8f1"),
     "mode-override": ("mueller", ["--mode", "evolve"],
         "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
 }

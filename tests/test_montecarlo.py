@@ -1,5 +1,6 @@
 """Tests for the stochastic-trajectory verification path."""
 
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -55,7 +56,8 @@ def test_ou_step_zero_g_is_deterministic():
     f0 = np.array([0.3, -1.2, 4.0])
     noise = np.array([1.0, -2.0, 0.5])
     out = ou_step(f0, 0.0, 1.7, 0.25, noise, mean=0.4)
-    expected = 0.4 + (f0 - 0.4) * np.exp(-1.7 * 0.25)
+    d = np.exp(-1.7 * 0.25)
+    expected = f0 * d + 0.4 * (1 - d)
     assert np.array_equal(out, expected)
 
 
@@ -572,10 +574,52 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+def _ulps(a: float, b: float) -> int:
+    """Distance between two finite float64 values in units in the last place."""
+    ordered = [i if i >= 0 else -2**63 - i for i in (int(np.float64(x).view(np.int64))
+                                                      for x in (a, b))]
+    return abs(ordered[0] - ordered[1])
+
+
+def _check_golden(expected, pinned, **arrays):
+    """Assert the digest of arrays; on a mismatch, name the first pinned value that differs.
+
+    pinned maps (array name, row) to the row's float.hex values, so a failure
+    reads as a one-ulp host difference or as a real regression.
+    """
+    if _digest(*arrays.values()) == expected:
+        return
+    for (name, row), values in pinned.items():
+        for component, want in enumerate(values):
+            got = float(arrays[name][row, component])
+            if got.hex() != want:
+                pytest.fail(f"{name}[{row % len(arrays[name])}, {component}] is {got.hex()}, "
+                            f"pinned {want}: {_ulps(got, float.fromhex(want))} ulps apart")
+    pytest.fail("the digest differs, though every pinned value matches")
+
+
+def test_a_golden_mismatch_names_the_value_and_its_ulps():
+    mean = np.array([[1.0, 0.0, 0.0], [0.5, -0.25, 0.125]])
+    pinned = {("mean", 0): ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+              ("mean", -1): ("0x1.0000000000000p-1", "-0x1.0000000000000p-2",
+                             "0x1.0000000000000p-3")}
+    _check_golden(_digest(mean), pinned, mean=mean)
+    mean[1, 1] = np.nextafter(np.nextafter(-0.25, 0.0), 0.0)
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"^mean\[1, 1\] is -0x1.ffffffffffffep-3, pinned -0x1.0000000000000p-2: "
+                             r"2 ulps apart$"):
+        _check_golden(_digest(np.zeros(1)), pinned, mean=mean)
+    with pytest.raises(pytest.fail.Exception, match="every pinned value matches"):
+        _check_golden(_digest(np.zeros(1)), {}, mean=mean)
+
+
 # SHA-256 of the little-endian float64 bytes of mean_stokes then stderr, pinned
-# on one Philox stream per 256-trajectory block, drawn step-major at the block's
-# full width, on the shifted two-pass block moments and on the OU decay taken
-# by math.exp: a kernel rewrite that keeps that draw order must keep them
+# on one SFC64 stream per 128-trajectory stripe, seeded SeedSequence([seed,
+# stripe]) and drawn step-major at the stripe's full width, on the OU update
+# of v = F + axis, on the shifted two-pass 256-trajectory block moments and on
+# the OU decay taken by math.exp: a kernel rewrite that keeps that draw order
+# must keep them.  Beside each digest, the float.hex values of the first and
+# last rows of mean_stokes and the last row of stderr.
 GOLDEN_ENSEMBLES = {
     # 2600 = 10 full blocks + a 40-trajectory tail, wider than one group
     "tail-block-above-group": (
@@ -584,7 +628,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=20, n_traj=2600, seed=31, initial=(1.0, 0.0, 0.0)),
         1,
-        "c2e2854d391792acbc687ac4ee49509befd52b8fee0e428474a2dfe0ea795499",
+        "77ec4d329b800b2b8ee59027bae033bd0a3e63711d8ec3f70a5242f21c7987c3",
+        (("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+         ("0x1.f38c0850f97b0p-1", "0x1.97c3436cbe18ep-3", "-0x1.dbc2361a1b580p-12"),
+         ("0x1.3d9e9fb855a20p-12", "0x1.769ff950c729ep-10", "0x1.1334b1683b0c9p-10")),
     ),
     # 777 steps end in a partial draw chunk; 300 trajectories leave a tail block
     "partial-chunk": (
@@ -593,7 +640,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=777, n_traj=300, seed=5, initial=(0.6, 0.0, 0.8)),
         2,
-        "768233569c368ffec2494af854913f745f87476c98fe0104a4525de9a3786afd",
+        "28269b60d1eab41623189138f3e958eaf2e1c205740c2a80c4d8d1d6b3932275",
+        (("0x1.3333333333333p-1", "0x0.0p+0", "0x1.999999999999ap-1"),
+         ("-0x1.3d84880162730p-5", "0x1.ea8a732bc031ap-3", "0x1.864f2e2fdfd90p-2"),
+         ("0x1.fcc9e131dd7cdp-6", "0x1.e83f9f17b7125p-6", "0x1.d2165a8592ffbp-6")),
     ),
     "off-axis-biased": (
         ensemble_average,
@@ -601,7 +651,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
         dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
         1,
-        "4cf732b518074102604c2080ff6a7bdbe8364effec246b6dbb1038ffad3d3c25",
+        "5e2cd61b04627bd9fa6b75eb82cacc4841bf906ca63cb84d5d9e3dd0a6cda66d",
+        (("0x1.3333333333333p-2", "-0x1.0000000000000p-1", "0x1.3333333333333p-1"),
+         ("0x1.7baeb9f1b1707p-1", "-0x1.14adaac3c54d7p-2", "0x1.565ccc2de693fp-3"),
+         ("0x1.d5a5ee2368b1ap-9", "0x1.c70931f9c5c8cp-8", "0x1.022dc3dee26b0p-7")),
     ),
     "round-trip": (
         mc_double_pass,
@@ -609,17 +662,21 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.3),
         dict(dt=0.01, n_steps=130, n_traj=300, seed=19, initial=(0.0, 0.0, 1.0)),
         3,
-        "9915fc90d9d15bdccfd18d7ea6de08e2465323505692abfe057d568e950abc34",
+        "01442ba6e7a9c94b64eec0ba31367f6f18bdcba9803395409851ad15cb8bb1f4",
+        (("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+         ("-0x1.1af2951df66d0p-5", "-0x1.c7e586808cf00p-9", "0x1.99f5173cdfdbbp-1"),
+         ("0x1.8055923afecc6p-6", "0x1.7adb6f64dd7b4p-6", "0x1.59a7a05c4584ep-7")),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
 def test_golden_ensemble_bits(case):
-    runner, noise, precession, traj, n_workers, expected = GOLDEN_ENSEMBLES[case]
+    runner, noise, precession, traj, n_workers, expected, rows = GOLDEN_ENSEMBLES[case]
     cfg = TrajectoryConfig(**{**traj, "initial": StokesVector(*traj["initial"])})
     ens = runner(NoiseSpec(**noise), FreePrecession(**precession), cfg, n_workers=n_workers)
-    assert _digest(ens.mean_stokes, ens.stderr) == expected
+    pinned = dict(zip((("mean_stokes", 0), ("mean_stokes", -1), ("stderr", -1)), rows))
+    _check_golden(expected, pinned, mean_stokes=ens.mean_stokes, stderr=ens.stderr)
 
 
 def test_golden_trajectory_bits():
@@ -627,8 +684,12 @@ def test_golden_trajectory_bits():
     fp = FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8))
     cfg = TrajectoryConfig(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11,
                            initial=StokesVector(0.3, -0.5, 0.6))
-    expected = "9cc9b9eb1cbbeed9031b6deb8c756c678a167a52b8c88d277501a57e37347119"
-    assert _digest(evolve_trajectory(spec, fp, cfg, 257)) == expected
+    expected = "10b18d16a82502c3cf75a6ce7e91e7a40c6e146350af696a5941046cd705a1d1"
+    pinned = {("rows", 0): ("0x1.3333333333333p-2", "-0x1.0000000000000p-1",
+                            "0x1.3333333333333p-1"),
+              ("rows", -1): ("0x1.5ee90940681d7p-1", "-0x1.89d107749a4d1p-3",
+                             "0x1.c232ac8851126p-2")}
+    _check_golden(expected, pinned, rows=evolve_trajectory(spec, fp, cfg, 257))
 
 
 def test_stochastic_goldens_hold_on_the_avx2_loops():
@@ -647,28 +708,39 @@ def test_stochastic_goldens_hold_on_the_avx2_loops():
     assert run.returncode == 0, run.stdout[-3000:]
 
 
+def test_a_stripe_divides_the_moment_block():
+    assert montecarlo._BLOCK % montecarlo._STRIPE == 0
+
+
 @pytest.mark.parametrize("round_trip", [False, True])
-def test_a_partial_block_draws_the_whole_block_stream(round_trip):
+def test_a_partial_block_draws_the_whole_stripe_stream(round_trip):
     # trajectories 256-299 are the 44-trajectory tail of n_traj = 300; drawn
-    # alone, they must match the first 44 columns of their block's full width
+    # alone, they must match the first 44 columns of stripe [256, 384) drawn
+    # at its full width
     tail = _stream(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 256, 300, round_trip)
-    full = _stream(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 256, 512, round_trip)
+    full = _stream(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 256, 256 + montecarlo._STRIPE, round_trip)
     assert len(tail) == len(full)
     assert all(np.array_equal(a, b[:, :44]) for a, b in zip(tail, full))
 
 
-def test_one_stream_per_block(monkeypatch):
-    block_rng, blocks = montecarlo._block_rng, []
+def test_a_trajectory_does_not_depend_on_n_traj():
+    rows = [evolve_trajectory(SPLIT_SPEC, SPLIT_FP, dataclasses.replace(SPLIT_CFG, n_traj=n), 257)
+            for n in (300, 600)]
+    assert np.array_equal(*rows)
 
-    def counted(seed, block):
-        blocks.append(block)
-        return block_rng(seed, block)
 
-    monkeypatch.setattr(montecarlo, "_block_rng", counted)
+def test_one_stream_per_stripe(monkeypatch):
+    stripe_rng, stripes = montecarlo._stripe_rng, []
+
+    def counted(seed, stripe):
+        stripes.append(stripe)
+        return stripe_rng(seed, stripe)
+
+    monkeypatch.setattr(montecarlo, "_stripe_rng", counted)
     cfg = TrajectoryConfig(dt=0.01, n_steps=2, n_traj=4096, seed=3,
                            initial=StokesVector(1.0, 0.0, 0.0))
     ensemble_average(SPLIT_SPEC, SPLIT_FP, cfg, n_workers=1)
-    assert blocks == list(range(16))
+    assert stripes == list(range(32))
 
 
 SPLIT_CASES = {

@@ -300,6 +300,8 @@ QUIET = {
     "CMatrix.symmetric_part": lambda: CMatrix(np.full((3, 3), 1e308)).symmetric_part(),
     # b^2 and its siblings pass the float range
     "cp_inequalities": lambda: cp_inequalities(DissipativeParams(*[1e300] * 6)),
+    # sqrt(g) times a finite noise passes the float range
+    "ou_step": lambda: ou_step(0.0, 1e300, 1.0, 1.0, 1e300),
     # dt * lam stays small, but 300 steps of 1e306 pass the float range
     "ensemble_average-times": lambda: ensemble_average(
         NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1e-310,) * 3), FreePrecession(0.0),
@@ -317,6 +319,13 @@ def test_computed_overflow_is_a_numerical_failure(call, quiet):
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="is not finite"):
             call()
+
+
+def test_ou_step_past_the_float_range_decays_without_a_warning():
+    # lam dt passes the float range: the field decays to e^-inf = 0 in one step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ou_step(0.0, 1.0, 1e200, 1e200, 0.0) == 0.0
 
 
 def test_large_finite_gaps_are_refused_without_a_warning():
