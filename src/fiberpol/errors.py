@@ -6,6 +6,10 @@ points, and numerical non-convergence.  The CLI maps the first two to
 exit code 2 and the last to exit code 3; singular points are reported
 per-point and never abort a scan.
 
+Guards: a function whose arithmetic can leave the float range computes under
+``np.errstate(all="ignore")`` and checks its result by _require_finite or a typed
+refusal, so it keeps the no-raw-warning contract by itself, whoever calls it.
+
 The module also holds the rounding slack every check shares and the value
 rules that the frozen dataclasses declare for their fields: the number
 rules, and the array rule, which copies, checks and freezes an array.

@@ -115,7 +115,7 @@ def _r_point(p: DissipativeParams, omega: float, t: float):
 
 
 # an overflow reaches the finiteness checks as inf or nan, not as a warning
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def r_observable(p: DissipativeParams, omega: float, t: float) -> ExperimentResult:
     """Evaluate R at one time from propagated Stokes components.
 
@@ -159,7 +159,7 @@ def relaxation_times(p: DissipativeParams) -> RelaxationTimes:
     return RelaxationTimes(t1=t1, t2=t2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in r_observable
+@np.errstate(all="ignore")  # as in r_observable
 def r_scan(p: DissipativeParams, omega: float, times) -> RScanResult:
     """Evaluate R over a grid of positive times, flagging singular points instead of failing."""
     omega = _checked("finite", omega, "omega")

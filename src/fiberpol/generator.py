@@ -59,7 +59,7 @@ class KossakowskiMatrix(_Validated):
 
     _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="Kossakowski matrix")}
 
-    @np.errstate(over="ignore")  # a gap past the float range is refused
+    @np.errstate(all="ignore")  # a gap past the float range is refused
     def __post_init__(self):
         super().__post_init__()
         if not np.max(np.abs(self.matrix - self.matrix.T)) <= TOL:
@@ -150,8 +150,9 @@ def is_completely_positive(p: DissipativeParams) -> bool:
     return bool(eigs[0] >= -CP_TOL)
 
 
+@np.errstate(all="ignore")  # a derivative past the float range is refused
 def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
-    """Right-hand side of the master equation acting on a density matrix.
+    """Master-equation right-hand side on a density matrix; NumericalFailureError unless finite.
 
     Returns the 2x2 matrix
 
@@ -174,4 +175,4 @@ def lindblad_apply(k: KossakowskiMatrix, omega, d: DensityMatrix) -> np.ndarray:
             out = out + 0.5 * km[i, j] * (
                 2.0 * PAULI[j] @ rho @ PAULI[i] - sij @ rho - rho @ sij
             )
-    return out
+    return _require_finite(out, "master-equation derivative")

@@ -206,7 +206,7 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
             _checked(rule, x, name)
     g, lam = np.asarray(g, dtype=float), np.asarray(lam, dtype=float)
     field = np.array(np.broadcast_arrays(f_prev, g, lam, noise, mean)[0], dtype=float)
-    with np.errstate(over="ignore"):  # an infinite lam dt decays by e^-inf = 0
+    with np.errstate(all="ignore"):  # an infinite lam dt decays by e^-inf = 0
         decay, sigma = _ou_coefficients(g, lam, dt)
         _ou_relax(field, decay, sigma * noise + mean * (1.0 - decay))
     return _require_finite(field, "OU update")[()]  # a scalar for scalar input
@@ -438,7 +438,7 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
     n = cfg.n_traj
     # overflow shows as non-finite moments, refused below; forked children
     # inherit this state
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
         # merge in block order the means less the first trajectory, so no
         # rounded mean enters a delta; identical blocks give delta exactly 0
@@ -476,7 +476,7 @@ def evolve_trajectory(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig
         raise InvalidInputError(f"a trajectory of {cfg.n_steps} steps would take more than "
                                 f"{_MAX_MOMENT_BYTES} bytes; use fewer steps")
     out = np.empty((cfg.n_steps + 1, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(all="ignore"):  # refused below
         for row, state in zip(out, _propagate(spec, fp, cfg, traj_index, traj_index + 1, False)):
             row[...] = state[:, 0]
     finite = np.isfinite(out).all(axis=1)

@@ -87,7 +87,7 @@ class CMatrix(_Validated):
 
     _rules = {"matrix": partial(frozen_array, shape=(3, 3), what="C matrix")}
 
-    @np.errstate(over="ignore")  # a sum past the float range is refused
+    @np.errstate(all="ignore")  # a sum past the float range is refused
     def symmetric_part(self) -> np.ndarray:
         """C + C^T, the Kossakowski coefficient matrix; NumericalFailureError unless finite."""
         return _require_finite(self.matrix + self.matrix.T, "damping matrix")
@@ -113,7 +113,7 @@ def _cross_matrix(n) -> np.ndarray:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an angle past the float range gives NaN
+@np.errstate(all="ignore")  # an angle past the float range gives NaN
 def _pauli_rotation_batch(fp: FreePrecession, t: np.ndarray) -> np.ndarray:
     """Rotation coefficients U(t) for an array of times, shape (len(t), 3, 3)."""
     n = np.array(fp.n)
@@ -142,8 +142,7 @@ def pauli_rotation(fp: FreePrecession, t: float) -> np.ndarray:
     return _require_finite(_pauli_rotation_batch(fp, np.array([t]))[0], f"Pauli rotation at t = {t}")
 
 
-# squares are products, inf past the float range, not an OverflowError; refused below
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@np.errstate(all="ignore")  # a square is a product: inf past the float range, not an OverflowError
 def lambda_weights(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
     """Resonance weights Lam_i = G_i / (lam_i^2 + omega0^2); NumericalFailureError unless finite."""
     lam = np.array(spec.lam)
@@ -151,7 +150,7 @@ def lambda_weights(spec: NoiseSpec, fp: FreePrecession) -> np.ndarray:
     return _require_finite(np.array(spec.g) / denominator, "resonance weights")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in lambda_weights
+@np.errstate(all="ignore")  # as in lambda_weights
 def c_matrix_closed(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     """Closed-form damping matrix for exponential correlations.
 
@@ -194,6 +193,7 @@ def _quadrature_pass(spec: NoiseSpec, fp: FreePrecession, t_max: float, n_seg: i
     return np.einsum("t,ti,tij->ij", weights, damp, u)
 
 
+@np.errstate(all="ignore")  # a NaN residual does not converge, and is refused below
 def c_matrix_quadrature(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     """Damping matrix by direct numerical integration (oracle path).
 
@@ -225,6 +225,7 @@ def c_matrix_quadrature(spec: NoiseSpec, fp: FreePrecession) -> CMatrix:
     )
 
 
+@np.errstate(all="ignore")  # a sum past the float range is refused
 def _averaged_dynamics(spec: NoiseSpec, fp: FreePrecession):
     """(DissipativeParams, omega 3-vector) of the averaged dynamics, from one damping matrix.
 

@@ -61,13 +61,13 @@ class MuellerMatrix(_Validated):
 
     def apply(self, s: StokesVector) -> StokesVector:
         """The propagated Stokes vector; NumericalFailureError if it is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        with np.errstate(all="ignore"):  # refused below
             out = self.matrix @ s.as_array()
         return StokesVector.from_array(_require_finite(out, f"Stokes vector at t = {self.t}"))
 
     def __matmul__(self, other: "MuellerMatrix") -> "MuellerMatrix":
         """The composed matrix; NumericalFailureError if it or the summed time is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        with np.errstate(all="ignore"):  # refused below
             m = _require_finite(self.matrix @ other.matrix, "Mueller matrix product")
         return MuellerMatrix(m, _require_finite(self.t + other.t, "time"))
 
@@ -103,7 +103,7 @@ def mueller_exact(g: GeneratorMatrix, t: float) -> MuellerMatrix:
     evolution is a forward semigroup only.
     """
     t = _checked("non-negative", t, "evolution time")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+    with np.errstate(all="ignore"):  # overflow is refused below
         m = expm(-2.0 * t * g.matrix)
     return MuellerMatrix(_require_finite(m, f"matrix exponential at t = {t}"), t)
 

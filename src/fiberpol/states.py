@@ -91,7 +91,7 @@ class DensityMatrix(_Validated):
 
     _rules = {"matrix": partial(frozen_array, shape=(2, 2), what="density matrix", dtype=complex)}
 
-    @np.errstate(over="ignore")  # a gap past the float range is refused
+    @np.errstate(all="ignore")  # a gap past the float range is refused
     def __post_init__(self):
         super().__post_init__()
         m = self.matrix
@@ -146,10 +146,10 @@ def stokes_from_density(d) -> StokesVector:
     """
     if not isinstance(d, DensityMatrix):
         d = DensityMatrix(d)
-    m = d.matrix
-    r1 = (m[0, 1] + m[1, 0]).real
-    r2 = (1j * (m[0, 1] - m[1, 0])).real
-    r3 = (m[0, 0] - m[1, 1]).real
+    m = d.matrix.tolist()  # complex values: a sum past the float range is inf, not a warning
+    r1 = (m[0][1] + m[1][0]).real
+    r2 = (1j * (m[0][1] - m[1][0])).real
+    r3 = (m[0][0] - m[1][1]).real
     return StokesVector(*_require_finite((r1, r2, r3), "Stokes vector of the density matrix"))
 
 

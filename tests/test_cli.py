@@ -969,6 +969,14 @@ def edge_runs(draw):
 
 
 @settings(max_examples=400, deadline=None)
+# lam3 squared underflows to 0 in the damping matrix
+@example(obj={"mode": "evolve", "noise": {"g": [0, 0, 0], "lam": [1, 1, 1e-300]},
+              "precession": {"omega0": 1}, "times": [0.0]})
+# the precession vector passes the float range
+@example(obj={"mode": "experiment",
+              "noise": {"g": [1e154, 1e154, 1.7e308], "lam": [1e100, 1, 1],
+                        "mean": [1e155, 1.7e308, 1e200]},
+              "precession": {"omega0": 1e100, "n": [0.6, 0, 0.8]}, "times": [1e100, 1e154]})
 @given(obj=edge_runs())
 def test_runs_end_in_finite_output_or_one_diagnostic(tmp_path_factory, obj):
     path = tmp_path_factory.getbasetemp() / "edge.json"

@@ -724,9 +724,11 @@ def test_a_partial_block_draws_the_whole_stripe_stream(round_trip):
 
 
 def test_a_trajectory_does_not_depend_on_n_traj():
-    rows = [evolve_trajectory(SPLIT_SPEC, SPLIT_FP, dataclasses.replace(SPLIT_CFG, n_traj=n), 257)
-            for n in (300, 600)]
-    assert np.array_equal(*rows)
+    # trajectory 257 drawn alone at n_traj = 600 is column 1 of the 44-trajectory
+    # tail [256, 300) of n_traj = 300
+    alone = evolve_trajectory(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, 257)
+    tail = _stream(SPLIT_SPEC, SPLIT_FP, dataclasses.replace(SPLIT_CFG, n_traj=300), 256, 300, False)
+    assert np.array_equal(alone, np.array([state[:, 1] for state in tail]))
 
 
 def test_one_stream_per_stripe(monkeypatch):

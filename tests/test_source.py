@@ -1,4 +1,5 @@
-"""Checks over the package source: every module-level name earns its place."""
+"""Checks over the package source: every module-level name earns its place, and
+every numpy error state is the one uniform guard."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,23 @@ def test_every_module_level_name_is_used_or_exported():
                     if name not in loaded[module] and not (module == "__init__" and name in exported):
                         unused.append(f"{module}: import of {name}")
     assert unused == []
+
+
+def _error_states(tree: ast.AST) -> list[str]:
+    """The source of every np.errstate call in tree."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.errstate"]
+
+
+def test_every_error_state_ignores_all_and_the_cli_sets_none():
+    # a guard ignores every flag, and its result is checked: one that missed a
+    # flag let a raw warning out, and a blanket state in cli.run would hide that
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    states = {module: _error_states(tree) for module, tree in trees.items()}
+    assert any(states.values())
+    uniform = ast.unparse(ast.parse('np.errstate(all="ignore")'))
+    assert {module: calls for module, calls in states.items()
+            if any(call != uniform for call in calls)} == {}
+    run = next(node for node in trees["cli"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert _error_states(run) == []

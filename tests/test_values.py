@@ -19,6 +19,7 @@ from fiberpol import (
     DissipativeParams,
     EnsembleTrajectory,
     ExperimentResult,
+    FiberpolError,
     FreePrecession,
     GeneratorMatrix,
     InvalidInputError,
@@ -35,23 +36,32 @@ from fiberpol import (
     backward_mueller,
     build_generator,
     c_matrix_closed,
+    c_matrix_quadrature,
     correlation,
     cp_inequalities,
+    density_from_stokes,
     double_pass,
     effective_hamiltonian,
     ensemble_average,
+    evolve_trajectory,
+    is_completely_positive,
     kossakowski_from_params,
     lambda_weights,
+    lindblad_apply,
+    mc_double_pass,
+    mc_vs_master_report,
     mueller_closed_form,
     mueller_exact,
     noise_cp_condition,
     ou_step,
     params_from_kossakowski,
     pauli_rotation,
+    purity,
     r_observable,
     r_scan,
     relaxation_times,
     simplified_params,
+    stokes_from_angles,
     stokes_from_density,
 )
 from fiberpol import experiment
@@ -252,7 +262,9 @@ def _fake_r_point(p, omega, t):
 OVERFLOW = np.diag([1e308, 1e308, 1e308])
 # a = alpha = -345: each pass grows by e^690, about 1e300, so the round trip overflows
 GROWING = DissipativeParams(a=-345.0, b=0.0, c=0.0, alpha=-345.0, beta=0.0, gamma=0.0)
-COMPUTED = {
+NOISE = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
+#: computed overflows refused without a raw warning whatever numpy's error state
+QUIET = {
     "MuellerMatrix.apply": lambda: MuellerMatrix(np.full((3, 3), 1e308), 0.5).apply(
         StokesVector(1.0, 1.0, 0.0)),
     "MuellerMatrix.matmul": lambda: MuellerMatrix(np.eye(3), 1e308) @ MuellerMatrix(np.eye(3), 1e308),
@@ -266,12 +278,6 @@ COMPUTED = {
         NoiseSpec(g=(1e154, 1e154, 1.0), lam=(1.0, 1e-300, 1e154)), FreePrecession(0.0)),
     "stokes_from_density": lambda: stokes_from_density(
         DensityMatrix([[0.5, 1e308], [1e308, 0.5]])),
-}
-
-
-NOISE = NoiseSpec(g=(0.05, 0.02, 0.04), lam=(2.0, 2.0, 2.0))
-#: computed overflows refused without a raw warning whatever numpy's error state
-QUIET = {
     "build_generator": lambda: build_generator(DissipativeParams(0.0, 1e308, 0.0, 0.0, 0.0, 0.0),
                                                [0.0, 0.0, 1e308]),
     "MuellerMatrix.matmul-entries": lambda: (MuellerMatrix(np.eye(3) * 1e200, 0.0)
@@ -309,16 +315,155 @@ QUIET = {
 }
 
 
-@pytest.mark.parametrize("call, quiet", [*((call, False) for call in COMPUTED.values()),
-                                         *((call, True) for call in QUIET.values())],
-                         ids=[*COMPUTED, *QUIET])
-def test_computed_overflow_is_a_numerical_failure(call, quiet):
-    # as in the CLI, numpy's own overflow warnings are off for COMPUTED; QUIET
-    # keeps numpy's error state, and any warning is an error
-    with warnings.catch_warnings(), np.errstate(**({} if quiet else {"all": "ignore"})):
+@pytest.mark.parametrize("call", QUIET.values(), ids=QUIET)
+def test_computed_overflow_is_a_numerical_failure(call):
+    # numpy's error state as it is by default, and any warning is an error
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="is not finite"):
             call()
+
+
+#: values at the edges of the float range: zero, subnormal, tiny, a square root of
+#: the largest float and just past it, huge, and the largest floats
+EDGES = [0.0, 5e-324, 1e-300, 1.0, 1e154, 1e155, 1e200, 1e307, 1.7e308]
+EDGE = st.sampled_from(EDGES + [-v for v in EDGES[1:]])
+EDGE_NON_NEGATIVE, EDGE_POSITIVE = st.sampled_from(EDGES), st.sampled_from(EDGES[1:])
+EDGE3, ZERO_OR_EDGE = st.tuples(EDGE, EDGE, EDGE), st.just(0.0) | EDGE
+AXES = st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
+#: g, lam, mean, omega0, n: g and lam keep the signs validation allows, and the
+#: mean leans towards zero, which the axis-3 formulas and round trips need
+NOISE_ARGS = st.tuples(st.tuples(*[EDGE_NON_NEGATIVE] * 3), st.tuples(*[EDGE_POSITIVE] * 3),
+                       st.just((0.0, 0.0, 0.0)) | EDGE3, EDGE, AXES)
+#: a, b, c, alpha, beta, gamma: c and beta lean towards the zero the closed form needs
+PARAMS_ARGS = st.tuples(EDGE, EDGE, ZERO_OR_EDGE, EDGE, ZERO_OR_EDGE, EDGE)
+#: a trajectory config: dt, n_steps, seed, with n_traj at its least
+TRAJECTORY_ARGS = st.tuples(EDGE_POSITIVE, st.integers(1, 3), st.integers(0, 3))
+
+
+def _noise(g, lam, mean, omega0, n):
+    return NoiseSpec(g, lam, mean), FreePrecession(omega0, n)
+
+
+def _symmetric(k11, k22, k33, k12, k13, k23):
+    return np.array([[k11, k12, k13], [k12, k22, k23], [k13, k23, k33]])
+
+
+def _density(e00, re, im):
+    """The Hermitian unit-trace matrix with e00 on the diagonal and re + i im above it."""
+    return np.array([[e00, complex(re, im)], [complex(re, -im), 1.0 - e00]])
+
+
+def _stochastic(run):
+    def call(args):
+        noise, (dt, n_steps, seed) = args
+        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps, n_traj=100, seed=seed,
+                               initial=StokesVector(1.0, 0.0, 0.0))
+        return run(*_noise(*noise), cfg)
+    return call
+
+
+#: every public numeric function and method: the call on its raw arguments, and
+#: the strategy of those arguments
+SWEEP = {
+    "stokes_from_angles": (lambda a: stokes_from_angles(PureStateAngles(*a)), st.tuples(EDGE, EDGE)),
+    "density_from_stokes": (lambda r: density_from_stokes(StokesVector(*r)), EDGE3),
+    "stokes_from_density": (lambda e: stokes_from_density(_density(*e)), EDGE3),
+    "DensityMatrix.is_physical": (lambda e: DensityMatrix(_density(*e)).is_physical(), EDGE3),
+    "purity": (lambda r: purity(StokesVector(*r)), EDGE3),
+    "StokesVector.norm": (lambda r: StokesVector(*r).norm(), EDGE3),
+    "StokesVector.is_physical": (lambda r: StokesVector(*r).is_physical(), EDGE3),
+    "correlation": (lambda a: correlation(_noise(*a[0])[0], 1, 1, a[1]), st.tuples(NOISE_ARGS, EDGE)),
+    "pauli_rotation": (lambda a: pauli_rotation(FreePrecession(a[0], a[1]), a[2]),
+                       st.tuples(EDGE, AXES, EDGE)),
+    "lambda_weights": (lambda a: lambda_weights(*_noise(*a)), NOISE_ARGS),
+    "c_matrix_closed": (lambda a: c_matrix_closed(*_noise(*a)), NOISE_ARGS),
+    "c_matrix_quadrature": (lambda a: c_matrix_quadrature(*_noise(*a)), NOISE_ARGS),
+    "CMatrix.symmetric_part": (lambda a: CMatrix(np.reshape(a, (3, 3))).symmetric_part(),
+                               st.tuples(*[EDGE] * 9)),
+    "effective_hamiltonian": (lambda a: effective_hamiltonian(*_noise(*a)), NOISE_ARGS),
+    "simplified_params": (lambda a: simplified_params(*_noise(*a)), NOISE_ARGS),
+    "noise_cp_condition": (lambda a: noise_cp_condition(*_noise(*a)), NOISE_ARGS),
+    "kossakowski_from_params": (lambda a: kossakowski_from_params(DissipativeParams(*a)),
+                                PARAMS_ARGS),
+    "params_from_kossakowski": (lambda a: params_from_kossakowski(_symmetric(*a)), PARAMS_ARGS),
+    "build_generator": (lambda a: build_generator(DissipativeParams(*a[0]), a[1]),
+                        st.tuples(PARAMS_ARGS, EDGE3)),
+    "cp_inequalities": (lambda a: cp_inequalities(DissipativeParams(*a)), PARAMS_ARGS),
+    "is_completely_positive": (lambda a: is_completely_positive(DissipativeParams(*a)), PARAMS_ARGS),
+    "lindblad_apply": (lambda a: lindblad_apply(KossakowskiMatrix(_symmetric(*a[0])), a[1],
+                                                density_from_stokes(StokesVector(*a[2]))),
+                       st.tuples(PARAMS_ARGS, EDGE3, EDGE3)),
+    "mueller_exact": (lambda a: mueller_exact(build_generator(DissipativeParams(*a[0]), a[1]), a[2]),
+                      st.tuples(PARAMS_ARGS, EDGE3, EDGE_NON_NEGATIVE)),
+    "mueller_closed_form": (lambda a: mueller_closed_form(DissipativeParams(*a[0]), a[1], a[2]),
+                            st.tuples(PARAMS_ARGS, EDGE, EDGE_NON_NEGATIVE)),
+    "backward_mueller": (lambda a: backward_mueller(DissipativeParams(*a[0]), a[1], a[2]),
+                         st.tuples(PARAMS_ARGS, EDGE, EDGE_NON_NEGATIVE)),
+    "MuellerMatrix.apply": (lambda a: MuellerMatrix(np.reshape(a[0], (3, 3)), 0.0).apply(
+        StokesVector(*a[1])), st.tuples(st.tuples(*[EDGE] * 9), EDGE3)),
+    "MuellerMatrix.matmul": (lambda a: MuellerMatrix(np.reshape(a[0], (3, 3)), a[1])
+                             @ MuellerMatrix(np.reshape(a[0], (3, 3)), a[1]),
+                             st.tuples(st.tuples(*[EDGE] * 9), EDGE)),
+    "double_pass": (lambda a: double_pass(DissipativeParams(*a[0]), a[1], a[2], StokesVector(*a[3])),
+                    st.tuples(PARAMS_ARGS, EDGE, EDGE_NON_NEGATIVE, EDGE3)),
+    "r_observable": (lambda a: r_observable(DissipativeParams(*a[0]), a[1], a[2]),
+                     st.tuples(PARAMS_ARGS, EDGE, EDGE_POSITIVE)),
+    "relaxation_times": (lambda a: relaxation_times(DissipativeParams(*a)), PARAMS_ARGS),
+    "r_scan": (lambda a: r_scan(DissipativeParams(*a[0]), a[1], a[2]),
+               st.tuples(PARAMS_ARGS, EDGE, st.lists(EDGE_POSITIVE, min_size=1, max_size=3,
+                                                     unique=True).map(sorted))),
+    "ou_step": (lambda a: ou_step(*a), st.tuples(EDGE, EDGE_NON_NEGATIVE, EDGE_POSITIVE,
+                                                 EDGE_POSITIVE, EDGE)),
+    "evolve_trajectory": (_stochastic(lambda spec, fp, cfg: evolve_trajectory(spec, fp, cfg, 99)),
+                          st.tuples(NOISE_ARGS, TRAJECTORY_ARGS)),
+    "ensemble_average": (_stochastic(ensemble_average), st.tuples(NOISE_ARGS, TRAJECTORY_ARGS)),
+    "mc_double_pass": (_stochastic(mc_double_pass), st.tuples(NOISE_ARGS, TRAJECTORY_ARGS)),
+    "mc_vs_master_report": (_stochastic(mc_vs_master_report), st.tuples(NOISE_ARGS, TRAJECTORY_ARGS)),
+}
+#: what a result may hold that is not finite by design: compare's z scores
+NOT_FINITE_BY_DESIGN = {"z", "max_abs_z"}
+
+
+def _numbers(value) -> list:
+    """Every number a result holds, those of NOT_FINITE_BY_DESIGN aside."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) if f.name not in NOT_FINITE_BY_DESIGN
+                for x in _numbers(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _numbers(v)]
+    return np.ravel(value).tolist()
+
+
+def test_every_public_function_is_swept():
+    public = {name for name in fiberpol.__all__ if callable(getattr(fiberpol, name))
+              and not isinstance(getattr(fiberpol, name), type)}
+    assert public <= set(SWEEP)
+
+
+# the five inputs that raised a raw numpy warning while a blanket error state
+# in the CLI hid them
+@settings(max_examples=600, deadline=None)
+@example(call=("c_matrix_closed", ((0.0, 0.0, 0.0), (1.0, 1.0, 1e-300), (0.0, 0.0, 0.0), 1.0,
+                                   (0.0, 0.0, 1.0))))
+@example(call=("effective_hamiltonian", ((1e154, 1e154, 1.7e308), (1e100, 1.0, 1.0),
+                                         (1e155, 1.7e308, 1e200), 1e100, (0.6, 0.0, 0.8))))
+@example(call=("c_matrix_quadrature", ((1e307,) * 3, (1e-160,) * 3, (0.0, 0.0, 0.0), -1e-160,
+                                       (0.6, 0.0, 0.8))))
+@example(call=("stokes_from_density", (0.5, 1e308, 0.0)))
+@example(call=("lindblad_apply", ((1e308, 1e308, 1e308, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0),
+                                  (1.0, 0.0, 0.0))))
+@given(call=st.sampled_from(list(SWEEP)).flatmap(lambda name: st.tuples(st.just(name),
+                                                                          SWEEP[name][1])))
+def test_public_functions_at_the_float_edges_end_in_finite_results_or_typed_errors(call):
+    name, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = SWEEP[name][0](args)
+        except FiberpolError:
+            return
+    assert np.isfinite(_numbers(result)).all(), (name, args, result)
 
 
 def test_ou_step_past_the_float_range_decays_without_a_warning():
