@@ -7,8 +7,10 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -266,6 +268,79 @@ def test_double_pass_weak_noise_pole_decay():
     assert abs(ens.mean_stokes[-1, 2] - predicted) <= 5.0 * ens.stderr[-1, 2]
     for i in (0, 1):
         assert abs(ens.mean_stokes[-1, i]) <= 5.0 * max(ens.stderr[-1, i], 1e-12)
+
+
+# Pure dephasing: noise on axis 3 only and precession about axis 3, so each
+# step turns s1 + i s2 by (omega0 + 2 F_3) dt and the phase is a Gaussian sum
+# of the held OU values, an AR(1) sequence (Kubo, J. Phys. Soc. Jpn. 9, 935
+# (1954); Anderson, ibid. 9, 316 (1954)).  The law below is the kernel's own,
+# exact at any coupling and step, so only the ensemble's error remains.
+# (G_3, lam_3) and steps; Lam_3 = G_3 / (lam_3^2 + omega0^2) at omega0 = 1
+DEPHASING = {
+    "Lam3=1e-4": ((0.0101, 10.0), 1500),
+    "Lam3=0.0099": ((1.0, 10.0), 1500),
+    # the noise outlives the flight (1 / lam_3 = 1 > n dt = 0.3), so a return
+    # pass that went on with the forward field would show
+    "Lam3=0.5": ((1.0, 1.0), 300),
+    # sqrt(G_3) dt at the resolution limit: Lam3 = 1250, quasi-static noise
+    "Lam3=1250": ((2500.0, 1.0), 100),
+}
+DEPHASING_SEEDS = (101, 202, 303)
+
+
+def _dephasing_variance(k, g3, lam3, dt):
+    """Var of the phase 2 dt (F_0 + ... + F_{k-1}) of k held stationary OU steps.
+
+    4 dt^2 G_3 [k (1 + phi) / (1 - phi) - 2 phi (1 - phi^k) / (1 - phi)^2], phi = e^{-lam_3 dt}.
+    """
+    phi, gap = math.exp(-lam3 * dt), -math.expm1(-lam3 * dt)  # gap = 1 - phi
+    k = np.asarray(k, dtype=float)
+    tail = -np.expm1(-lam3 * dt * k)  # 1 - phi^k
+    return 4.0 * dt**2 * g3 * (k * (1.0 + phi) / gap - 2.0 * phi * tail / gap**2)
+
+
+def _dephasing_case(case, seed):
+    (g3, lam3), n_steps = DEPHASING[case]
+    spec = NoiseSpec(g=(0.0, 0.0, g3), lam=(lam3, lam3, lam3))
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=n_steps, n_traj=1024, seed=seed,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    variance = partial(_dephasing_variance, g3=g3, lam3=lam3, dt=cfg.dt)
+    return spec, FreePrecession(omega0=1.0), cfg, variance
+
+
+def _dephasing_z(ens, phase, variance):
+    """z of the ensemble against s1 + i s2 = e^{i phase} e^{-variance / 2}, s3 = 0."""
+    amplitude = np.exp(-0.5 * variance)
+    exact = np.stack([np.cos(phase) * amplitude, np.sin(phase) * amplitude,
+                      np.zeros_like(phase)], axis=1)
+    return montecarlo._zscores(ens.mean_stokes - exact, ens.stderr)
+
+
+@pytest.mark.parametrize("seed", DEPHASING_SEEDS)
+@pytest.mark.parametrize("case", sorted(DEPHASING))
+def test_pure_dephasing_matches_the_exact_law(case, seed):
+    spec, fp, cfg, var = _dephasing_case(case, seed)
+    k = np.arange(cfg.n_steps + 1)
+    ens = ensemble_average(spec, fp, cfg)
+    z = _dephasing_z(ens, fp.omega0 * cfg.dt * k, var(k))
+    assert z[0].tolist() == [0.0, 0.0, 0.0]  # t = 0 is exact
+    assert np.max(np.abs(z)) <= 5.0
+
+
+@pytest.mark.parametrize("seed", DEPHASING_SEEDS)
+@pytest.mark.parametrize("case", sorted(DEPHASING))
+def test_pure_dephasing_round_trip_matches_the_exact_law(case, seed):
+    # the mirror flips omega0 and the return pass is a fresh realization: at
+    # return row k_b the phase is omega0 dt (n - k_b), the variance Var_n + Var_{k_b}
+    spec, fp, cfg, var = _dephasing_case(case, seed)
+    n = cfg.n_steps
+    k = np.arange(2 * n + 1)
+    back = np.maximum(k - n, 0)
+    ens = mc_double_pass(spec, fp, cfg)
+    z = _dephasing_z(ens, fp.omega0 * cfg.dt * np.minimum(k, 2 * n - k),
+                     var(np.minimum(k, n)) + var(back))
+    assert z[0].tolist() == [0.0, 0.0, 0.0]
+    assert np.max(np.abs(z)) <= 5.0
 
 
 def test_double_pass_guards():
@@ -743,6 +818,26 @@ def test_one_stream_per_stripe(monkeypatch):
                            initial=StokesVector(1.0, 0.0, 0.0))
     ensemble_average(SPLIT_SPEC, SPLIT_FP, cfg, n_workers=1)
     assert stripes == list(range(32))
+
+
+def test_a_wide_group_holds_its_draw_chunk_in_a_few_megabytes():
+    # mc-wide's compare run: one group of 2048 trajectories, 1000 steps and the
+    # report's 20 kept rows.  The bound holds 16-step draw chunks (0.79 MB of
+    # kicks) and refuses 128-step ones (6.3 MB)
+    spec, fp = NoiseSpec(g=WEAK_G, lam=WEAK_LAM), FreePrecession(omega0=WEAK_OMEGA0)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=1000, n_traj=4096, seed=5,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    keep = np.unique(np.round(np.linspace(0, cfg.n_steps, montecarlo._REPORT_ROWS)).astype(int))
+    assert len(keep) == 20
+    width = montecarlo._GROUP_BLOCKS * montecarlo._BLOCK
+    assert width == 2048
+    tracemalloc.start()
+    try:
+        montecarlo._group_moments(spec, fp, cfg, 0, width, False, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 SPLIT_CASES = {
