@@ -764,6 +764,16 @@ GOLDEN_CONFIGS = {
         "precession": {"omega0": 1.0, "n": [0.6, 0.0, 0.8]},
         "trajectory": {"dt": 0.01, "n_steps": 30, "n_traj": 300, "seed": 8},
     },
+    # 8,201 rows: the only golden long enough to cross the writer's chunk
+    # boundaries at rows 4,096 and 8,192.  It is stochastic, because the
+    # ensemble's bits hold on every BLAS kernel and the master route's do not
+    "montecarlo-long": {
+        "mode": "montecarlo",
+        "noise": {"g": [0.03, 0.01, 0.02], "lam": [2, 1, 3], "mean": [0.0, 0.1, 0.0]},
+        "precession": {"omega0": 1.3},
+        "initial": [0.6, 0.0, 0.8],
+        "trajectory": {"dt": 0.001, "n_steps": 8200, "n_traj": 100, "seed": 27},
+    },
 }
 
 GOLDEN_RUNS = {
@@ -791,6 +801,10 @@ GOLDEN_RUNS = {
         "35bdab41b6a89c8b5be23a7e5e2d486425daa3ea4232ad33cf75dc6aad648e9a"),
     "compare-json": ("compare", ["--format", "json"],
         "6627baa01491f22146aeefbff10b866767ba37300d614836142255937f166269"),
+    "montecarlo-long-csv": ("montecarlo-long", [],
+        "590be7ce9d5e251f57c0d77bbae8452bb2e7067b87b60750cf93a56a0afb57ea"),
+    "montecarlo-long-json": ("montecarlo-long", ["--format", "json"],
+        "6cf7b6f2bb9f5587fd09bba13444a53ffeebe053d14373dead8cb423e7700a3d"),
     "seed-override": ("montecarlo", ["--seed", "99"],
         "e37df1c4d7365598447d0c6a73c53292e399d7bb43139a0517204f3997ffc8f1"),
     "mode-override": ("mueller", ["--mode", "evolve"],
