@@ -41,7 +41,9 @@ Output contract: the first CSV line is a "# metadata: {...}" record
 rows, LF line endings; JSON output is an object with the same metadata,
 the column list, and an array of records.  All floating-point values
 are written with 17 significant digits in both formats, so a run is
-byte-reproducible and the two encodings carry identical numbers.
+byte-reproducible and the two encodings carry identical numbers.  Every
+value is computed before the first byte is written, so a failed run writes
+nothing; rows then go out 4096 at a time, never as one whole-output string.
 Verdicts are emitted as data (true/false), never as exit codes.
 Diagnostics go to stderr as one JSON record per line.  Exit codes:
 0 success, 2 invalid input or configuration, 3 numerical failure.
@@ -53,7 +55,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
@@ -88,7 +92,8 @@ from .propagator import mueller_exact
 from .states import StokesVector
 
 #: output rows a run may build: a {start, stop, count} grid is expanded in
-#: memory before anything runs, and montecarlo writes one row per step
+#: memory before anything runs, and montecarlo writes one row per step; the
+#: writer holds one chunk of text at a time (montecarlo: under 200 B a row)
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -139,7 +144,7 @@ def _passing(test, what: str):
 
 
 _boolean = _passing(lambda v: isinstance(v, bool), "a boolean")
-_string = _passing(lambda v: isinstance(v, str), "a string")
+_path = _passing(lambda v: isinstance(v, str) and "\0" not in v, "a string without NUL characters")
 _format = _passing(lambda v: v in ("csv", "json"), "'csv' or 'json'")
 
 
@@ -162,7 +167,7 @@ _SCHEMA = {
     "times": (None, {"start": (_non_negative, _REQUIRED), "stop": (_number, _REQUIRED),
                      "count": (_integer, _REQUIRED)}),
     "trajectory": _typed(TrajectoryConfig, double_pass=(_boolean, False)),
-    "output": (None, {"path": (_string, None), "format": (_format, "csv")}),
+    "output": (None, {"path": (_path, None), "format": (_format, "csv")}),
 }
 
 
@@ -319,24 +324,26 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _render_csv(metadata: dict, columns: list[str], rows: list[list]) -> str:
-    lines = ["# metadata: " + _json_value(metadata), ",".join(columns)]
-    lines += [",".join(map(_csv_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+#: rows formatted and written at a time: the writer never holds more text than one chunk
+_WRITE_ROWS = 4096
 
 
-def _render_json(metadata: dict, columns: list[str], rows: list[list]) -> str:
-    keys = [json.dumps(c) + ": " for c in columns]
-    parts = [
-        '"metadata": ' + _json_value(metadata),
-        '"columns": ' + _json_value(columns),
-        '"records": ['
-        + ", ".join(
-            "{" + ", ".join(k + _json_value(v) for k, v in zip(keys, row)) + "}" for row in rows
-        )
-        + "]",
-    ]
-    return "{" + ", ".join(parts) + "}\n"
+def _write(handle, fmt: str, metadata: dict, table: dict) -> None:
+    """Write table, named columns of equal length, as CSV or JSON, _WRITE_ROWS rows at a time."""
+    columns = list(table)
+    if fmt == "csv":
+        handle.write("# metadata: " + _json_value(metadata) + "\n" + ",".join(columns) + "\n")
+        cell, row, sep = _csv_cell, ",".join(["%s"] * len(columns)) + "\n", ""
+    else:
+        handle.write('{"metadata": ' + _json_value(metadata) + ', "columns": '
+                     + _json_value(columns) + ', "records": [')
+        cell, sep = _json_value, ", "
+        row = "{" + ", ".join(json.dumps(c) + ": %s" for c in columns) + "}"
+    for lo in range(0, len(table[columns[0]]), _WRITE_ROWS):
+        cells = [map(cell, np.asarray(c[lo:lo + _WRITE_ROWS]).tolist()) for c in table.values()]
+        handle.write((sep if lo else "") + sep.join(row % values for values in zip(*cells)))
+    if fmt == "json":
+        handle.write("]}\n")
 
 
 def _diagnostic(level: str, code: str, message: str):
@@ -358,10 +365,9 @@ def _generator_pieces(cfg: RunConfig):
 def _table(times, **stems):
     """A mode's table with columns t, <stem>1, <stem>2, <stem>3 per stem, and no extras.
 
-    Each stem is a (len(times), 3) array; values are copied, not recomputed.
+    Each stem is a (len(times), 3) array; its columns are views, not copies.
     """
-    columns = ["t"] + [f"{stem}{i}" for stem in stems for i in (1, 2, 3)]
-    return columns, np.column_stack([times, *stems.values()]).tolist(), {}
+    return {"t": times, **{f"{s}{i + 1}": a[:, i] for s, a in stems.items() for i in range(3)}}, {}
 
 
 def _mode_evolve(cfg: RunConfig):
@@ -391,7 +397,7 @@ def _mode_cp_check(cfg: RunConfig):
         "completely_positive": is_completely_positive(params),
         "noise_residual": noise_residual,
     }
-    return list(row), [list(row.values())], {}
+    return {name: [value] for name, value in row.items()}, {}
 
 
 def _mode_experiment(cfg: RunConfig):
@@ -400,13 +406,10 @@ def _mode_experiment(cfg: RunConfig):
         raise ConfigError("experiment mode requires precession about axis 3")
     scan = r_scan(params, omega[2], cfg.times)
     for t in scan.singular_times:
-        _diagnostic(
-            "warning",
-            "singular-time",
-            f"R(t) denominator vanishes at t = {_fmt_float(t)}; point skipped",
-        )
-    rows = list(zip(scan.times, scan.r_value, scan.r_closed, scan.cp_verdict))
-    return ["t", "r_value", "r_closed", "verdict"], rows, {}
+        _diagnostic("warning", "singular-time",
+                    f"R(t) denominator vanishes at t = {_fmt_float(t)}; point skipped")
+    return {"t": scan.times, "r_value": scan.r_value, "r_closed": scan.r_closed,
+            "verdict": scan.cp_verdict}, {}
 
 
 def _mode_montecarlo(cfg: RunConfig):
@@ -422,9 +425,9 @@ def _mode_montecarlo(cfg: RunConfig):
 def _mode_compare(cfg: RunConfig):
     report = mc_vs_master_report(cfg.noise, cfg.precession, cfg.trajectory,
                                  n_workers=_available_cpus())
-    columns, rows, _ = _table(report.times, mc=report.mc_mean, stderr=report.mc_stderr,
-                              master=report.master, z=report.z)
-    return columns, rows, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
+    table, _ = _table(report.times, mc=report.mc_mean, stderr=report.mc_stderr,
+                      master=report.master, z=report.z)
+    return table, {"max_abs_z": report.max_abs_z, "frac_above_3": report.frac_above_3}
 
 
 #: the two routes to the dynamics, and the blocks a mode may need besides, as refusals name them
@@ -445,24 +448,19 @@ MODES = tuple(_MODES)
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration and write its output table."""
-    columns, rows, extras = _MODES[cfg.mode][0](cfg)
-    metadata = {
-        "mode": cfg.mode,
-        "version": __version__,
-        "config_digest": cfg.config_digest,
-        "seed": cfg.trajectory.seed if cfg.trajectory is not None else None,
-        **extras,
-    }
-    render = _render_csv if cfg.output_format == "csv" else _render_json
-    text = render(metadata, columns, rows)
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(cfg.output_path, "w", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from exc
+    table, extras = _MODES[cfg.mode][0](cfg)
+    seed = cfg.trajectory.seed if cfg.trajectory is not None else None
+    metadata = {"mode": cfg.mode, "version": __version__, "config_digest": cfg.config_digest,
+                "seed": seed, **extras}
+    to_stdout = cfg.output_path is None
+    try:
+        with nullcontext(sys.stdout) if to_stdout else open(cfg.output_path, "w", newline="") as out:
+            _write(out, cfg.output_format, metadata, table)
+            out.flush()
+    except OSError as exc:
+        if to_stdout:  # what stdout still buffers goes to os.devnull at exit, not to a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 
 
@@ -481,9 +479,9 @@ def main(argv=None) -> int:
 
     try:
         try:
-            with open(args.config) as handle:
+            with open(args.config, encoding="utf-8") as handle:  # RFC 8259 section 8.1
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         # flags are written into the config, so they are validated with it
         obj = _load(text)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -26,7 +27,8 @@ from fiberpol import (
     build_generator,
     mueller_exact,
 )
-from fiberpol.cli import _SCHEMA, MODES, RunConfig, main, parse_config
+from fiberpol import cli
+from fiberpol.cli import _SCHEMA, MODES, RunConfig, main, parse_config, run
 
 PARAMS_BLOCK = {
     "a": 0.8,
@@ -637,6 +639,17 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in diagnostics(err)[0]["message"]
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # JSON text is UTF-8 (RFC 8259, section 8.1); UTF-16 starts with the bytes ff fe
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps({"mode": "cp-check", "params": PARAMS_BLOCK}).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    code, out, err = run_cli(capsys, ["--config", str(path)])
+    assert (code, out) == (2, "")
+    (diag,) = diagnostics(err)
+    assert diag["message"].startswith("cannot read config: 'utf-8' codec can't decode")
+
+
 NON_CP = {"a": -1.0, "b": 0.0, "c": 0.0, "alpha": -1.0, "beta": 0.0, "gamma": -1.0, "omega": 0.3}
 
 
@@ -711,6 +724,64 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         assert out == ""
         (diag,) = diagnostics(err)
         assert diag["message"].startswith("cannot write output: ")
+
+
+def test_output_path_with_a_nul_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mode ran")
+
+    monkeypatch.setattr("fiberpol.cli.mueller_exact", refuse)
+    cfg = {"mode": "evolve", "params": PARAMS_BLOCK, "times": [0.1],
+           "output": {"path": str(tmp_path / "a\u0000b.csv")}}
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    (diag,) = diagnostics(err)
+    assert diag["message"] == "output.path must be a string without NUL characters"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_closed_stdout_exits_2_with_one_diagnostic(tmp_path):
+    # about 1.2 MB of CSV, far more than a pipe holds: the reader takes 100
+    # bytes and closes its end while the writer still has chunks to write
+    path = write_config(tmp_path, GOLDEN_CONFIGS["montecarlo-long"])
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "fiberpol.cli", "--config", path], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"# metadata: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert diagnostics(err) == [{"level": "error", "code": "invalid-input",
+                                 "message": "cannot write output: [Errno 32] Broken pipe"}]
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_memory_per_output_row(fmt):
+    # the traced peak of a run, less the ensemble's own moments, must not grow
+    # with the rows it writes: the writer holds one chunk of text at a time
+    def config(n_steps):
+        return parse_config({
+            "mode": "montecarlo",
+            "noise": {"g": [0.01, 0.02, 0.03], "lam": [1, 1, 1]},
+            "precession": {"omega0": 1.0},
+            "trajectory": {"dt": 0.01, "n_steps": n_steps, "n_traj": 100, "seed": 3},
+            "output": {"path": os.devnull, "format": fmt},
+        })
+
+    run(config(10))  # one-time allocations, untraced
+    peaks = []
+    for n_steps in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            run(config(n_steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 15_000 <= 200
 
 
 def test_deeply_nested_config_is_a_syntax_error(tmp_path, capsys):
@@ -820,6 +891,17 @@ def test_golden_cli_bytes(tmp_path, capsys, case):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_golden_cli_bytes_do_not_depend_on_the_write_chunk(tmp_path, capsys, monkeypatch, case):
+    name, flags, expected = GOLDEN_RUNS[case]
+    path = write_config(tmp_path, GOLDEN_CONFIGS[name])
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+        code, out, err = run_cli(capsys, ["--config", path] + flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, rows
 
 
 def test_config_surface_is_pinned():
