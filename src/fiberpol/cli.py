@@ -459,7 +459,9 @@ def run(cfg: RunConfig) -> int:
             out.flush()
     except OSError as exc:
         if to_stdout:  # what stdout still buffers goes to os.devnull at exit, not to a traceback
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 

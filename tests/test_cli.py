@@ -761,8 +761,8 @@ def test_closed_stdout_exits_2_with_one_diagnostic(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_memory_per_output_row(fmt):
-    # the traced peak of a run, less the ensemble's own moments, must not grow
-    # with the rows it writes: the writer holds one chunk of text at a time
+    # the traced peak grows by at most 200 B per output row, the ensemble's own
+    # moments included, so the writer may hold no Python object per row
     def config(n_steps):
         return parse_config({
             "mode": "montecarlo",
