@@ -276,6 +276,8 @@ def parse_config(config: str | dict) -> RunConfig:
         if block not in obj:
             raise ConfigError(f"mode {mode!r} requires {_NEEDED[block]}")
     round_trip = digested["trajectory"]["double_pass"] if trajectory is not None else False
+    if round_trip and mode == "compare":
+        raise ConfigError("trajectory.double_pass must be false: compare checks one-way runs")
 
     digested = {name: dict(sorted(value.items())) if isinstance(value, dict) else value
                 for name, value in sorted(digested.items())}

@@ -36,12 +36,14 @@ width, so the states, and hence the moments, carry the same bits as a
 block-at-a-time or one-trajectory-at-a-time run.
 
 The blocks are cut into min(n_workers, CPUs, blocks) contiguous shares of
-near-equal size, CPUs being those in the process's affinity mask.  The
-calling process computes the first share, one forked process computes
-each of the others and sends its block moments back over a pipe, and the
-parent merges every block in block order, so the worker count does not
-change the bits.  Without fork there is one share, and the groups run in
-order in the calling process.
+near-equal size, CPUs being those in the process's affinity mask.  Every
+block writes its moments in place into one array in anonymous shared
+memory: the calling process computes the first share and one forked
+process each of the others.  A child that fails ends with a nonzero exit
+code, which the parent raises as NumericalFailureError.  The parent merges
+every block in block order, so the worker count does not change the bits.
+Without fork there is one share, and the groups run in order in the
+calling process.
 
 Draw order per stripe and pass: n_steps + 1 rows of (3, _STRIPE) standard
 normals, trajectory j in column j % _STRIPE.  The kernel relaxes the OU
@@ -66,8 +68,10 @@ correlation by far.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -304,19 +308,19 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
 
 
 def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
-                   j0: int, j1: int, round_trip: bool, keep: np.ndarray):
-    """Moments (size, first, shift, m2) of each _BLOCK-trajectory block in [j0, j1).
+                   j0: int, j1: int, round_trip: bool, keep: np.ndarray, out: np.ndarray):
+    """Write into out[:, b] the moments of the b-th _BLOCK-trajectory block in [j0, j1).
 
-    For the rows in keep, an increasing index array: the block's first
-    trajectory, its mean less that one, and its squared deviations from the
-    mean.  Kept rows of the stream fill a batch of at most _KEPT_SLOTS rows;
-    when it is full or holds the last kept row, each block takes the shifted
-    two-pass of Chan, Golub & LeVeque (1983) over its own contiguous columns,
-    so every sum runs in numpy's pairwise order for the block's length, and
-    identical trajectories give exactly zero.
+    out has shape (3, blocks, len(keep), 3).  For the rows in keep, an
+    increasing index array: the block's first trajectory, its mean less that
+    one, and its squared deviations from the mean.  Kept rows of the stream
+    fill a batch of at most _KEPT_SLOTS rows; when it is full or holds the
+    last kept row, each block takes the shifted two-pass of Chan, Golub &
+    LeVeque (1983) over its own contiguous columns, so every sum runs in
+    numpy's pairwise order for the block's length, and identical
+    trajectories give exactly zero.
     """
-    starts = range(0, j1 - j0, _BLOCK)
-    first, shift, m2 = np.empty((3, len(starts), len(keep), 3))
+    first, shift, m2 = out
     span = min(len(keep), _KEPT_SLOTS)
     batch = np.empty((span, 3, j1 - j0))  # kept rows as the stream yields them
     i_keep = 0  # the next kept row's index in keep
@@ -329,7 +333,7 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
         if i_keep % span and i_keep < len(keep):
             continue
         c = (i_keep - 1) % span + 1  # rows in the batch
-        for b, lo in enumerate(starts):
+        for b, lo in enumerate(range(0, j1 - j0, _BLOCK)):
             x = batch[:c, :, lo:lo + _BLOCK]
             d = x - x[..., :1]
             s = d.mean(axis=-1)
@@ -337,7 +341,6 @@ def _group_moments(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
             d -= s[..., None]
             d *= d
             m2[b, i_keep - c:i_keep] = d.sum(axis=-1)
-    return [(min(_BLOCK, j1 - j0 - lo), first[b], shift[b], m2[b]) for b, lo in enumerate(starts)]
 
 
 def _available_cpus() -> int:
@@ -348,28 +351,31 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_moments(spec, fp, cfg, round_trip, keep, b0, b1):
-    """Block moments of blocks [b0, b1), computed _GROUP_BLOCKS blocks at a time."""
-    ends = [min(b * _BLOCK, cfg.n_traj) for b in (*range(b0, b1, _GROUP_BLOCKS), b1)]
-    return [part for j0, j1 in zip(ends, ends[1:])
-            for part in _group_moments(spec, fp, cfg, j0, j1, round_trip, keep)]
+def _share_moments(spec, fp, cfg, round_trip, keep, moments, b0, b1):
+    """Fill moments[:, b0:b1], the moments of blocks [b0, b1), _GROUP_BLOCKS blocks at a time."""
+    edges = [*range(b0, b1, _GROUP_BLOCKS), b1]
+    for g0, g1 in zip(edges, edges[1:]):
+        _group_moments(spec, fp, cfg, g0 * _BLOCK, min(g1 * _BLOCK, cfg.n_traj), round_trip,
+                       keep, moments[:, g0:g1])
 
 
-def _child_moments(sender, *share):
-    """A forked worker: send the share's block moments, or a typed error."""
+def _child_moments(*share):
+    """A forked worker: fill the share's blocks, or end with exit code 1."""
     try:
-        result = _share_moments(*share)
-    except Exception as exc:  # the parent raises it
-        result = NumericalFailureError(f"an ensemble worker failed: {type(exc).__name__}: {exc}")
-    sender.send(result)
+        _share_moments(*share)
+    except Exception:  # no traceback on stderr: the parent reports the exit code
+        sys.exit(1)
 
 
-def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
-    """Block moments of every share: share 0 here, each other one in a forked child.
+def _forked_moments(spec, fp, cfg, round_trip, keep, bounds, nbytes):
+    """The (3, blocks, len(keep), 3) moments: share 0 here, each other one in a forked child.
 
-    With one share no child starts.  Every child is joined before this
-    returns or raises, and terminated first if the call is failing.
+    The array lies in anonymous shared memory, so every child writes its
+    blocks in place and sends nothing back.  With one share no child
+    starts.  Every child is joined before this returns or raises, and
+    terminated first if the caller's own share fails.
     """
+    moments = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(3, bounds[-1], len(keep), 3)
     children = []
     try:
         for b0, b1 in zip(bounds[1:-1], bounds[2:]):
@@ -377,33 +383,22 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds):
             # about 0.4 s, most of what it would save.  A child runs numpy
             # ufuncs and SFC64 draws only, never BLAS, whose thread pool
             # is the only other thread the parent may have.
-            receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.get_context("fork").Process(
-                target=_child_moments, args=(sender, spec, fp, cfg, round_trip, keep, b0, b1))
+                target=_child_moments, args=(spec, fp, cfg, round_trip, keep, moments, b0, b1))
             child.start()
-            sender.close()
-            children.append((child, receiver))
-        parts = _share_moments(spec, fp, cfg, round_trip, keep, bounds[0], bounds[1])
-        for child, receiver in children:
-            try:
-                result = receiver.recv()
-            except EOFError:
-                child.join()
-                raise NumericalFailureError(
-                    f"an ensemble worker ended without a result (exit code {child.exitcode})"
-                ) from None
-            if isinstance(result, Exception):
-                raise result
-            parts += result
+            children.append(child)
+        _share_moments(spec, fp, cfg, round_trip, keep, moments, bounds[0], bounds[1])
     except BaseException:
-        for child, _ in children:
+        for child in children:
             child.terminate()
         raise
     finally:
-        for child, receiver in children:
+        for child in children:
             child.join()
-            receiver.close()
-    return parts
+    for child in children:
+        if child.exitcode:
+            raise NumericalFailureError(f"an ensemble worker failed (exit code {child.exitcode})")
+    return moments
 
 
 def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> EnsembleTrajectory:
@@ -443,15 +438,16 @@ def _ensemble(spec, fp, cfg, round_trip: bool, n_workers: int, rows=None) -> Ens
     # overflow shows as non-finite moments, refused below; forked children
     # inherit this state
     with np.errstate(all="ignore"):
-        parts = _forked_moments(spec, fp, cfg, round_trip, keep, bounds)
+        first, shift, m2s = _forked_moments(spec, fp, cfg, round_trip, keep, bounds, moment_bytes)
         # merge in block order the means less the first trajectory, so no
         # rounded mean enters a delta; identical blocks give delta exactly 0
-        count, ref, offset, m2 = parts[0]
-        for b_count, b_first, b_shift, b_m2 in parts[1:]:
+        count, ref, offset, m2 = min(_BLOCK, n), first[0], shift[0], m2s[0]
+        for b in range(1, n_blocks):
+            b_count = min(_BLOCK, n - b * _BLOCK)
             total = count + b_count
-            delta = (b_first - ref) + b_shift - offset
+            delta = (first[b] - ref) + shift[b] - offset
             offset = offset + delta * (b_count / total)
-            m2 = m2 + b_m2 + delta**2 * (count * b_count / total)
+            m2 = m2 + m2s[b] + delta**2 * (count * b_count / total)
             count = total
         mean = ref + offset
         stderr = np.sqrt(m2 / (n - 1) / n)

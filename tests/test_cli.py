@@ -456,6 +456,25 @@ def test_montecarlo_row_counts(tmp_path, capsys):
     assert len(rows) == 101
 
 
+def test_compare_refuses_a_round_trip(tmp_path, capsys, monkeypatch):
+    # compare checks the one-way ensemble; it once ran that and digested double_pass: true
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("fiberpol.cli.mc_vs_master_report", refuse)
+    cfg = {
+        "mode": "compare",
+        "noise": {"g": [0.01, 0.01, 0.01], "lam": [1, 1, 1]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 50, "n_traj": 100, "seed": 5, "double_pass": True},
+    }
+    code, out, err = run_cli(capsys, ["--config", write_config(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    (record,) = diagnostics(err)
+    assert record["code"] == "invalid-input"
+    assert record["message"].startswith("trajectory.double_pass ")
+
+
 def test_montecarlo_requires_trajectory(tmp_path, capsys):
     cfg = {
         "mode": "montecarlo",

@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -511,38 +514,84 @@ def test_worker_count_is_capped_by_the_cpus(monkeypatch):
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_no_process_outlives_a_failed_call(monkeypatch, failing):
+@pytest.mark.parametrize("failing, expected, message", [
+    pytest.param("parent", RuntimeError, "injected failure", id="parent"),
+    # a child that raises ends with exit code 1; one that dies keeps its own code
+    pytest.param("child-raises", NumericalFailureError,
+                 r"^an ensemble worker failed \(exit code 1\)$", id="child-raises"),
+    pytest.param("child-exits", NumericalFailureError,
+                 r"^an ensemble worker failed \(exit code 7\)$", id="child-exits"),
+])
+def test_no_process_outlives_a_failed_call(monkeypatch, capfd, failing, expected, message):
     group_moments = montecarlo._group_moments
 
     def flaky(spec, fp, cfg, j0, *args):
         # the parent computes the first share, which starts at trajectory 0
-        if (j0 > 0) == (failing == "child"):
+        if (j0 > 0) == failing.startswith("child"):
+            if failing == "child-exits":
+                os._exit(7)
             raise RuntimeError("injected failure")
         return group_moments(spec, fp, cfg, j0, *args)
 
     monkeypatch.setattr(montecarlo, "_group_moments", flaky)
     _fake_cpus(monkeypatch, 2)
-    expected = NumericalFailureError if failing == "child" else RuntimeError
-    with pytest.raises(expected, match="injected failure"):
+    with pytest.raises(expected, match=message):
         ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=2)
     assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""  # no child traceback
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return [int(p) for p in f.read().split()]
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 @needs_two_cpus
-def test_a_worker_that_dies_is_a_numerical_failure(monkeypatch):
-    group_moments = montecarlo._group_moments
-
-    def dying(spec, fp, cfg, j0, *args):
-        if j0 > 0:  # the forked child: end it before it sends a result
-            os._exit(7)
-        return group_moments(spec, fp, cfg, j0, *args)
-
-    monkeypatch.setattr(montecarlo, "_group_moments", dying)
-    _fake_cpus(monkeypatch, 2)
-    with pytest.raises(NumericalFailureError, match=r"ended without a result \(exit code 7\)"):
-        ensemble_average(SPLIT_SPEC, SPLIT_FP, SPLIT_CFG, n_workers=2)
-    assert multiprocessing.active_children() == []
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_a_killed_caller_leaves_no_worker(tmp_path):
+    # 512 trajectories are two blocks, one per process; 20,000 steps keep
+    # 1.4 MB of moments per block, far more than a pipe buffer holds
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "mode": "montecarlo", "noise": {"g": [0.05, 0.02, 0.04], "lam": [2, 2, 2]},
+        "precession": {"omega0": 1.0},
+        "trajectory": {"dt": 0.01, "n_steps": 20_000, "n_traj": 512, "seed": 3}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    caller = subprocess.Popen([sys.executable, "-m", "fiberpol.cli", "--config", str(config)],
+                              stdout=subprocess.DEVNULL, env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers and caller.poll() is None and time.monotonic() < deadline:
+            workers = _children(caller.pid)
+            time.sleep(0.01)
+        assert workers, "the caller forked no worker"
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers)), "a worker outlived its killed caller"
+    finally:
+        caller.kill()
+        caller.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_work_caps():
@@ -833,7 +882,8 @@ def test_a_wide_group_holds_its_draw_chunk_in_a_few_megabytes():
     assert width == 2048
     tracemalloc.start()
     try:
-        montecarlo._group_moments(spec, fp, cfg, 0, width, False, keep)
+        out = np.empty((3, montecarlo._GROUP_BLOCKS, len(keep), 3))
+        montecarlo._group_moments(spec, fp, cfg, 0, width, False, keep, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
