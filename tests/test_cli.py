@@ -457,7 +457,7 @@ def test_montecarlo_row_counts(tmp_path, capsys):
 
 
 def test_compare_refuses_a_round_trip(tmp_path, capsys, monkeypatch):
-    # compare checks the one-way ensemble; it once ran that and digested double_pass: true
+    # compare checks the one-way ensemble: a round trip is refused before anything runs
     def refuse(*args, **kwargs):
         raise AssertionError("the run started")
 

@@ -541,6 +541,14 @@ def test_no_process_outlives_a_failed_call(monkeypatch, capfd, failing, expected
     assert capfd.readouterr().err == ""  # no child traceback
 
 
+def _src_env(**extra):
+    """This process's environment plus extra, with the checkout's src first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _children(pid):
     with open(f"/proc/{pid}/task/{pid}/children") as f:
         return [int(p) for p in f.read().split()]
@@ -566,11 +574,8 @@ def test_a_killed_caller_leaves_no_worker(tmp_path):
         "mode": "montecarlo", "noise": {"g": [0.05, 0.02, 0.04], "lam": [2, 2, 2]},
         "precession": {"omega0": 1.0},
         "trajectory": {"dt": 0.01, "n_steps": 20_000, "n_traj": 512, "seed": 3}}))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     caller = subprocess.Popen([sys.executable, "-m", "fiberpol.cli", "--config", str(config)],
-                              stdout=subprocess.DEVNULL, env=env)
+                              stdout=subprocess.DEVNULL, env=_src_env())
     workers = []
     try:
         deadline = time.monotonic() + 30
@@ -821,9 +826,7 @@ def test_stochastic_goldens_hold_on_the_avx2_loops():
     # disabled, a child runs the stochastic goldens on the loops a host without
     # AVX-512 takes, and must read the same pinned digests
     tests = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    src = os.path.join(os.path.dirname(tests), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     ids = [os.path.join(tests, f"test_montecarlo.py::{name}")
            for name in ("test_golden_ensemble_bits", "test_golden_trajectory_bits")]
     ids.append(os.path.join(tests, "test_cli.py::test_golden_cli_bytes"))
