@@ -5,10 +5,20 @@ each trajectory carries an independent Ornstein-Uhlenbeck realization
 of the random field F(t), held piecewise constant over each dt step
 (sampled at the step start), and the polarization is conjugated by the
 exact step unitary U = exp(-i (H0 + F . sigma) dt).  For a traceless
-Hermitian generator that conjugation is, on the Bloch vector, the
-Rodrigues rotation about v = (omega0 / 2) n + F by the angle 2 |v| dt,
-so every trajectory stays exactly pure and the only approximations are
-the step discretization of F and the finite ensemble.  Ensemble means
+Hermitian generator that conjugation is, on the Bloch vector b, the
+rotation about v = (omega0 / 2) n + F by the angle theta = 2 |v| dt:
+
+    b' = C b + A (v . b) v + S (v x b),
+    S = sin(theta) / |v|,  A = (1 - cos theta) / |v|^2,  C = 1 - |v|^2 A,
+
+taken as b + (A ((v . b) v - |v|^2 b) + S (v x b)), so the small change
+is rounded onto b once.  S and A are Taylor polynomials in |v|^2 of the
+least degree, 1 to 6, that holds them to an ulp at the run's angle bound
+(8 standard deviations of the field); an entry past that bound takes
+np.sin and np.cos.  So the common step needs no sin, cos, sqrt or
+division, every trajectory stays pure to rounding, and the only
+approximations are the step discretization of F and the finite
+ensemble.  Ensemble means
 converge to the master-equation solution in the weak-coupling regime
 (operationally, resonance weights Lam_i of order 0.01 or below).
 
@@ -32,7 +42,8 @@ up to _GROUP_BLOCKS blocks is advanced side by side in component-major
 (3, width) arrays.  The run's short last block rides in the last group:
 alone, it would pay the per-step overhead of a whole group.  Every step
 applies the same elementwise operations in the same order whatever the
-width, so the states, and hence the moments, carry the same bits as a
+width, and an entry takes the sin and cos fallback on its own |v|^2
+alone, so the states, and hence the moments, carry the same bits as a
 block-at-a-time or one-trajectory-at-a-time run.
 
 The blocks are cut into min(n_workers, CPUs, blocks) contiguous shares of
@@ -93,6 +104,13 @@ _GROUP_BLOCKS = 8
 _CHUNK = 16
 #: kept rows the moments batch for one two-pass
 _KEPT_SLOTS = 64
+#: a Taylor term of the step factors below this, relative to the first, is
+#: under one ulp; so are all later ones
+_ULP_TERM = 2.0**-53
+#: highest degree in |v|^2 of the step factors' polynomials
+_MAX_DEGREE = 6
+#: standard deviations of the stationary field that bound a run's step angle
+_ANGLE_SIGMAS = 8.0
 _SEED_LIMIT = 2**64
 #: |simulation - reference| below this counts as exact agreement (z = 0)
 Z_ABS_TOL = 1e-9
@@ -218,6 +236,57 @@ def ou_step(f_prev, g, lam, dt, noise, mean=0.0):
     return _require_finite(field, "OU update")[()]  # a scalar for scalar input
 
 
+def _rotation_series(spec: NoiseSpec, fp: FreePrecession, dt: float):
+    """Taylor coefficients in y = |v|^2 of the step factors S and A, and the y they hold to.
+
+    At theta = 2 |v| dt, S = sin(theta) / |v| and A = (1 - cos theta) / |v|^2.
+    The degree is the least from 1 to _MAX_DEGREE whose first dropped term is
+    below _ULP_TERM at the run's angle bound, 2 dt (omega0 / 2 + |mean| +
+    _ANGLE_SIGMAS sqrt(sum G)).  Returns the coefficients, shape (degree + 1,
+    2, 1), row k holding those of y^k, and the largest y that degree covers
+    to an ulp.  Products and quotients of floats, so the same on every host.
+    """
+    two_dt = 2.0 * dt
+    speed = 0.5 * abs(fp.omega0) + math.hypot(*spec.mean) + _ANGLE_SIGMAS * math.sqrt(sum(spec.g))
+    for degree in range(1, _MAX_DEGREE + 1):
+        # S / (2 dt) = sum (-theta^2)^k / (2k + 1)!, whose dropped terms outweigh A's
+        reach = (_ULP_TERM * math.factorial(2 * degree + 3)) ** (1.0 / (2 * degree + 2))
+        if reach >= two_dt * speed:
+            break
+    hh = two_dt * two_dt
+    s, a, coef = two_dt, 0.5 * hh, []
+    for k in range(degree + 1):
+        coef.append((s, a))
+        s *= -hh / ((2 * k + 2) * (2 * k + 3))
+        a *= -hh / ((2 * k + 3) * (2 * k + 4))
+    limit = reach / two_dt
+    return np.array(coef)[:, :, None], limit * limit
+
+
+def _exact_factors(y, two_dt):
+    """S and A from np.sin and np.cos, for the y past the polynomials' range."""
+    norm = np.sqrt(y)
+    theta = two_dt * norm
+    return np.sin(theta) / norm, (1.0 - np.cos(theta)) / y
+
+
+def _step_factors(y, coef, limit, two_dt, out):
+    """Write S and A for every entry of y = |v|^2 into out, shape (2, len(y)).
+
+    One Horner pass evaluates both polynomials of _rotation_series; an entry
+    past limit takes _exact_factors instead, so each entry's bits depend on
+    its own y alone.
+    """
+    np.multiply(y, coef[-1], out=out)
+    for k in range(len(coef) - 2, 0, -1):
+        out += coef[k]
+        out *= y
+    out += coef[0]
+    if y.max() > limit:
+        over = np.flatnonzero(y > limit)
+        out[:, over] = _exact_factors(y[over], two_dt)
+
+
 def _stripe_rng(seed: int, stripe: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, stripe])))
 
@@ -230,8 +299,8 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     j0 + p.  Yields the one state, updated in place, at row 0 and after
     every step: n_steps + 1 times, 2 n_steps + 1 on a round trip.  A caller
     copies what it keeps before it asks for the next row.  Every stripe draws
-    its whole width, and every operation is the elementwise one of the
-    Rodrigues step, so the bits depend on none of the range or the chunk.
+    its whole width, and every operation of the step is elementwise, so the
+    bits depend on none of the range or the chunk.
     """
     width = j1 - j0
     n = cfg.n_steps
@@ -251,9 +320,12 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     kicks = np.empty((chunk, 3, width))
     bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
     yield bloch
-    v, unit, cross, tmp = np.empty((4, 3, width))
-    vnorm, along, theta, cos_t, sin_t, w = np.empty((6, width))
-    (b0, b1, b2), (u0, u1, u2), (c0, c1, c2), (t0, t1, t2) = bloch, unit, cross, tmp
+    coef, limit = _rotation_series(spec, fp, cfg.dt)
+    v, tmp, cross = np.empty((3, 3, width))
+    y, along, w = np.empty((3, width))
+    factors = np.empty((2, width))
+    s_fac, a_fac = factors  # S and A
+    (b0, b1, b2), (v0, v1, v2), (c0, c1, c2), (t0, t1, t2) = bloch, v, cross, tmp
 
     for sign in (1.0, -1.0) if round_trip else (1.0,):
         center = mean + sign * axis_term
@@ -271,36 +343,34 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 scaled *= step_sigma
                 np.add(scaled, drift, out=kicks[:c, :, cols])
             for i in range(c):
+                # y = |v|^2
                 np.multiply(v, v, out=tmp)
-                np.add(t0, t1, out=vnorm)
-                vnorm += t2
-                np.sqrt(vnorm, out=vnorm)
-                np.multiply(vnorm, two_dt, out=theta)
-                np.cos(theta, out=cos_t)
-                np.sin(theta, out=sin_t)
-                np.maximum(vnorm, 1e-300, out=w)
-                np.divide(v, w, out=unit)
-                # along = unit . bloch
-                np.multiply(unit, bloch, out=tmp)
+                np.add(t0, t1, out=y)
+                y += t2
+                _step_factors(y, coef, limit, two_dt, factors)
+                # along = A (v . bloch)
+                np.multiply(v, bloch, out=tmp)
                 np.add(t0, t1, out=along)
                 along += t2
-                # cross = unit x bloch
-                np.multiply(u1, b2, out=c0)
-                np.multiply(u2, b1, out=w)
+                along *= a_fac
+                # tmp = A |v|^2 bloch
+                np.multiply(y, a_fac, out=w)
+                np.multiply(bloch, w, out=tmp)
+                # cross = S (v x bloch) - tmp
+                np.multiply(v1, b2, out=c0)
+                np.multiply(v2, b1, out=w)
                 c0 -= w
-                np.multiply(u2, b0, out=c1)
-                np.multiply(u0, b2, out=w)
+                np.multiply(v2, b0, out=c1)
+                np.multiply(v0, b2, out=w)
                 c1 -= w
-                np.multiply(u0, b1, out=c2)
-                np.multiply(u1, b0, out=w)
+                np.multiply(v0, b1, out=c2)
+                np.multiply(v1, b0, out=w)
                 c2 -= w
-                # cos bloch + (1 - cos) along unit + sin cross
-                bloch *= cos_t
-                np.subtract(1.0, cos_t, out=w)
-                w *= along
-                np.multiply(unit, w, out=tmp)
-                bloch += tmp
-                np.multiply(cross, sin_t, out=tmp)
+                cross *= s_fac
+                cross -= tmp
+                # bloch + (along v + cross), the small change rounded once onto bloch
+                np.multiply(v, along, out=tmp)
+                tmp += cross
                 bloch += tmp
                 yield bloch
                 # exact OU relaxation of v to the next step

@@ -884,19 +884,19 @@ GOLDEN_RUNS = {
     "experiment-json": ("experiment", ["--format", "json"],
         "048684150610eab79e7c0aca451d4fc9b992dc51318e131641eb4d05e4c7ae0b"),
     "montecarlo-csv": ("montecarlo", [],
-        "d55ec28726022e292f50028af04cb764e624c01af6240d697b1e4461a1492055"),
+        "998ca6318364215102abbed2c0203e3586786a8924322cd4e7e0f71777987ba5"),
     "montecarlo-json": ("montecarlo", ["--format", "json"],
-        "3d06d016c97a6503ee97d23fe8e1093b1b1c98c40a6b3eb521b61942880d9584"),
+        "48069839bbb0bd296b674b0e1594b007350e64daf41e750d32e411c4fdfb8dc5"),
     "compare-csv": ("compare", [],
-        "35bdab41b6a89c8b5be23a7e5e2d486425daa3ea4232ad33cf75dc6aad648e9a"),
+        "e022c71d5877e9ec25874f95dc93bcdb29c965d732e2845b6ffa664976c84fcb"),
     "compare-json": ("compare", ["--format", "json"],
-        "6627baa01491f22146aeefbff10b866767ba37300d614836142255937f166269"),
+        "ee35914a758cc24f534af0afdfaaace58f72458d2a245663a89b2eec120b4c16"),
     "montecarlo-long-csv": ("montecarlo-long", [],
-        "590be7ce9d5e251f57c0d77bbae8452bb2e7067b87b60750cf93a56a0afb57ea"),
+        "b4d9b6f3110bb494b3d6dcfc993245351c41d5882bedf28a1c000650520f0215"),
     "montecarlo-long-json": ("montecarlo-long", ["--format", "json"],
-        "6cf7b6f2bb9f5587fd09bba13444a53ffeebe053d14373dead8cb423e7700a3d"),
+        "e4e4ff7fe7f7186a2fd0740d44243d3ddba98ae90dd1a157c6cbab56b4ddb91e"),
     "seed-override": ("montecarlo", ["--seed", "99"],
-        "e37df1c4d7365598447d0c6a73c53292e399d7bb43139a0517204f3997ffc8f1"),
+        "cc68f3deac3ca7e4cc3b998a6248fa8c5d88dc084ee082cb903527cc1c74466d"),
     "mode-override": ("mueller", ["--mode", "evolve"],
         "107eed6a5baae35380bfcc6eaad1dd8723b15a382620f60e30bea1bca3070db6"),
 }

@@ -745,8 +745,9 @@ def test_a_golden_mismatch_names_the_value_and_its_ulps():
 # SHA-256 of the little-endian float64 bytes of mean_stokes then stderr, pinned
 # on one SFC64 stream per 128-trajectory stripe, seeded SeedSequence([seed,
 # stripe]) and drawn step-major at the stripe's full width, on the OU update
-# of v = F + axis, on the shifted two-pass 256-trajectory block moments and on
-# the OU decay taken by math.exp: a kernel rewrite that keeps that draw order
+# of v = F + axis, on the shifted two-pass 256-trajectory block moments, on
+# the OU decay taken by math.exp and on the step's S and A from polynomials
+# in |v|^2: a kernel rewrite that keeps that draw order and that arithmetic
 # must keep them.  Beside each digest, the float.hex values of the first and
 # last rows of mean_stokes and the last row of stderr.
 GOLDEN_ENSEMBLES = {
@@ -757,10 +758,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=20, n_traj=2600, seed=31, initial=(1.0, 0.0, 0.0)),
         1,
-        "77ec4d329b800b2b8ee59027bae033bd0a3e63711d8ec3f70a5242f21c7987c3",
+        "c62530f3f65951e47c6a069a037a5119c6e23a34b71172768aae3272d6c96d41",
         (("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
-         ("0x1.f38c0850f97b0p-1", "0x1.97c3436cbe18ep-3", "-0x1.dbc2361a1b580p-12"),
-         ("0x1.3d9e9fb855a20p-12", "0x1.769ff950c729ep-10", "0x1.1334b1683b0c9p-10")),
+         ("0x1.f38c0850f97b0p-1", "0x1.97c3436cbe18ep-3", "-0x1.dbc2361a1b500p-12"),
+         ("0x1.3d9e9fb855a1fp-12", "0x1.769ff950c729dp-10", "0x1.1334b1683b0c9p-10")),
     ),
     # 777 steps end in a partial draw chunk; 300 trajectories leave a tail block
     "partial-chunk": (
@@ -769,10 +770,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.0),
         dict(dt=0.01, n_steps=777, n_traj=300, seed=5, initial=(0.6, 0.0, 0.8)),
         2,
-        "28269b60d1eab41623189138f3e958eaf2e1c205740c2a80c4d8d1d6b3932275",
+        "6ed7d382e4d8b0eb6521615cf94356265a37be3a4bb0b1f2384fd380879a1490",
         (("0x1.3333333333333p-1", "0x0.0p+0", "0x1.999999999999ap-1"),
-         ("-0x1.3d84880162730p-5", "0x1.ea8a732bc031ap-3", "0x1.864f2e2fdfd90p-2"),
-         ("0x1.fcc9e131dd7cdp-6", "0x1.e83f9f17b7125p-6", "0x1.d2165a8592ffbp-6")),
+         ("-0x1.3d84880162718p-5", "0x1.ea8a732bc031ap-3", "0x1.864f2e2fdfd8cp-2"),
+         ("0x1.fcc9e131dd7ccp-6", "0x1.e83f9f17b7124p-6", "0x1.d2165a8592ff9p-6")),
     ),
     "off-axis-biased": (
         ensemble_average,
@@ -780,10 +781,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.7, n=(0.6, 0.0, 0.8)),
         dict(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11, initial=(0.3, -0.5, 0.6)),
         1,
-        "5e2cd61b04627bd9fa6b75eb82cacc4841bf906ca63cb84d5d9e3dd0a6cda66d",
+        "8235e2b95a60f6e266c94cdb91bc8c24e11eac76a9c1184b622816c2f96358d6",
         (("0x1.3333333333333p-2", "-0x1.0000000000000p-1", "0x1.3333333333333p-1"),
-         ("0x1.7baeb9f1b1707p-1", "-0x1.14adaac3c54d7p-2", "0x1.565ccc2de693fp-3"),
-         ("0x1.d5a5ee2368b1ap-9", "0x1.c70931f9c5c8cp-8", "0x1.022dc3dee26b0p-7")),
+         ("0x1.7baeb9f1b1707p-1", "-0x1.14adaac3c54d6p-2", "0x1.565ccc2de693fp-3"),
+         ("0x1.d5a5ee2368b1fp-9", "0x1.c70931f9c5c8cp-8", "0x1.022dc3dee26b0p-7")),
     ),
     "round-trip": (
         mc_double_pass,
@@ -791,10 +792,10 @@ GOLDEN_ENSEMBLES = {
         dict(omega0=1.3),
         dict(dt=0.01, n_steps=130, n_traj=300, seed=19, initial=(0.0, 0.0, 1.0)),
         3,
-        "01442ba6e7a9c94b64eec0ba31367f6f18bdcba9803395409851ad15cb8bb1f4",
+        "46439e2ab86045d709591eb43ecd42af53d2a25939d08207d5a2f95ca77113ff",
         (("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
-         ("-0x1.1af2951df66d0p-5", "-0x1.c7e586808cf00p-9", "0x1.99f5173cdfdbbp-1"),
-         ("0x1.8055923afecc6p-6", "0x1.7adb6f64dd7b4p-6", "0x1.59a7a05c4584ep-7")),
+         ("-0x1.1af2951df66d0p-5", "-0x1.c7e586808cf80p-9", "0x1.99f5173cdfdbbp-1"),
+         ("0x1.8055923afecc5p-6", "0x1.7adb6f64dd7b4p-6", "0x1.59a7a05c4584bp-7")),
     ),
 }
 
@@ -813,20 +814,25 @@ def test_golden_trajectory_bits():
     fp = FreePrecession(omega0=1.7, n=(0.6, 0.0, 0.8))
     cfg = TrajectoryConfig(dt=0.005, n_steps=150, n_traj=400, seed=2**63 + 11,
                            initial=StokesVector(0.3, -0.5, 0.6))
-    expected = "10b18d16a82502c3cf75a6ce7e91e7a40c6e146350af696a5941046cd705a1d1"
+    expected = "43621146c798eb231296cfa2ab4244f0ad0050ad93345af4bae3c9426b6b3a22"
     pinned = {("rows", 0): ("0x1.3333333333333p-2", "-0x1.0000000000000p-1",
                             "0x1.3333333333333p-1"),
-              ("rows", -1): ("0x1.5ee90940681d7p-1", "-0x1.89d107749a4d1p-3",
-                             "0x1.c232ac8851126p-2")}
+              ("rows", -1): ("0x1.5ee90940681dbp-1", "-0x1.89d107749a4e0p-3",
+                             "0x1.c232ac885111dp-2")}
     _check_golden(expected, pinned, rows=evolve_trajectory(spec, fp, cfg, 257))
 
 
-def test_stochastic_goldens_hold_on_the_avx2_loops():
-    # numpy picks its ufunc loops by CPU at import; with its AVX-512 loops
-    # disabled, a child runs the stochastic goldens on the loops a host without
-    # AVX-512 takes, and must read the same pinned digests
+@pytest.mark.parametrize("disabled", [
+    pytest.param("X86_V4 AVX512_ICL AVX512_SPR", id="X86_V3"),
+    pytest.param("X86_V4 AVX512_ICL AVX512_SPR X86_V3 AVX2 FMA3 AVX F16C", id="X86_V2"),
+])
+def test_stochastic_goldens_hold_on_the_avx2_loops(disabled):
+    # numpy picks its ufunc loops by CPU at import; with the loops above a
+    # dispatch level disabled, a child runs the goldens on the loops a host
+    # of that level takes (X86_V3: AVX2, no AVX-512; X86_V2: SSE4.2, numpy's
+    # baseline), and must read the same pinned digests
     tests = os.path.dirname(os.path.abspath(__file__))
-    env = _src_env(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env = _src_env(NPY_DISABLE_CPU_FEATURES=disabled)
     ids = [os.path.join(tests, f"test_montecarlo.py::{name}")
            for name in ("test_golden_ensemble_bits", "test_golden_trajectory_bits")]
     ids.append(os.path.join(tests, "test_cli.py::test_golden_cli_bytes"))
@@ -891,6 +897,98 @@ def test_a_wide_group_holds_its_draw_chunk_in_a_few_megabytes():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def _series_reference(y, two_dt, first):
+    """Exact sum over k of (-1)^k two_dt^(2k + first) y^k / (2k + first)!, to far past an ulp."""
+    y, h = Fraction(float(y)), Fraction(two_dt)
+    return sum((-1)**k * h**(2 * k + first) * y**k / math.factorial(2 * k + first)
+               for k in range(20))
+
+
+@pytest.mark.parametrize("degree", range(1, montecarlo._MAX_DEGREE + 1))
+def test_step_factors_match_the_exact_series(degree):
+    # precession alone, at an angle bound just inside this degree's reach:
+    # the rule picks it, and S and A hold to 2 ulp over all of its range
+    dt = 1e-3
+    reach = (montecarlo._ULP_TERM * math.factorial(2 * degree + 3)) ** (1 / (2 * degree + 2))
+    spec, fp = NoiseSpec(g=(0.0, 0.0, 0.0), lam=(1.0, 1.0, 1.0)), FreePrecession(0.999 * reach / dt)
+    coef, limit = montecarlo._rotation_series(spec, fp, dt)
+    assert len(coef) == degree + 1
+    y = np.concatenate([np.linspace(0.0, limit, 101),
+                        np.random.default_rng(degree).uniform(0.0, limit, 100)])
+    out = np.empty((2, len(y)))
+    montecarlo._step_factors(y, coef, limit, 2 * dt, out)
+    for y_k, s_k, a_k in zip(y, *out):
+        for got, first in ((s_k, 1), (a_k, 2)):
+            exact = _series_reference(y_k, 2 * dt, first)
+            assert abs(Fraction(float(got)) - exact) <= 2 * Fraction(math.ulp(float(exact))), \
+                (degree, float(y_k), first)
+
+
+def _exact_factor_calls(mp):
+    """Spy on the kernel's sin and cos fallback; the returned list grows by its entries per call."""
+    calls, exact = [], montecarlo._exact_factors
+
+    def spy(y, two_dt):
+        calls.append(len(y))
+        return exact(y, two_dt)
+
+    mp.setattr(montecarlo, "_exact_factors", spy)
+    return calls
+
+
+def test_a_forced_fallback_agrees_with_the_polynomials(monkeypatch):
+    spec, fp = NoiseSpec(g=WEAK_G, lam=WEAK_LAM), FreePrecession(omega0=WEAK_OMEGA0)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=1000, n_traj=100, seed=5,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    poly = np.stack(_stream(spec, fp, cfg, 0, 64, False))
+    calls = _exact_factor_calls(monkeypatch)
+    # no term is below 0: every entry with |v| > 0 takes np.sin and np.cos
+    monkeypatch.setattr(montecarlo, "_ULP_TERM", 0.0)
+    exact = np.stack(_stream(spec, fp, cfg, 0, 64, False))
+    assert calls == [64] * 1000
+    # a rounding-level difference per step, for 1000 steps
+    assert np.allclose(exact, poly, rtol=0.0, atol=1e-13)
+    # each step rounds the norm by about 1e-16; 1000 steps of it reach a few 1e-15
+    assert np.max(np.abs(np.linalg.norm(exact, axis=1) - 1.0)) < 1e-14
+
+
+def test_a_trajectory_past_the_range_has_the_same_bits_in_any_width(monkeypatch):
+    # |v| about 266 sits at degree 6's reach for dt = 1e-3, so trajectories
+    # cross in and out of the fallback from step to step
+    spec = NoiseSpec(g=(1.0, 1.0, 1.0), lam=(40.0, 40.0, 40.0), mean=(0.0, 0.0, 265.46))
+    fp = FreePrecession(omega0=1.0)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=200, n_traj=2048, seed=9,
+                           initial=StokesVector(0.6, 0.0, 0.8))
+    coef, limit = montecarlo._rotation_series(spec, fp, cfg.dt)
+    assert len(coef) == montecarlo._MAX_DEGREE + 1
+    calls = _exact_factor_calls(monkeypatch)
+    wide = np.stack(_stream(spec, fp, cfg, 0, 2048, False))
+    assert len(calls) == cfg.n_steps and 0 < min(calls) and max(calls) < 2048
+    calls.clear()
+    alone = evolve_trajectory(spec, fp, cfg, 1000)
+    assert 0 < len(calls) < cfg.n_steps  # this one crosses
+    assert np.array_equal(alone, wide[:, :, 1000])
+
+
+def test_mc_wide_takes_no_sin_or_cos(monkeypatch):
+    # mc-wide's compare run: the rule picks degree 2, and no entry needs the fallback
+    spec, fp = NoiseSpec(g=WEAK_G, lam=WEAK_LAM), FreePrecession(omega0=WEAK_OMEGA0)
+    cfg = TrajectoryConfig(dt=1e-3, n_steps=1000, n_traj=4096, seed=5,
+                           initial=StokesVector(1.0, 0.0, 0.0))
+    assert len(montecarlo._rotation_series(spec, fp, cfg.dt)[0]) == 3
+    calls = _exact_factor_calls(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step called a trigonometric function")
+
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    rows = np.unique(np.round(np.linspace(0, cfg.n_steps, montecarlo._REPORT_ROWS)).astype(int))
+    ens = ensemble_average(spec, fp, cfg, rows=rows)
+    assert calls == []
+    assert np.isfinite(ens.mean_stokes).all()
 
 
 SPLIT_CASES = {
