@@ -78,10 +78,12 @@ correlation by far.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -112,6 +114,8 @@ _MAX_DEGREE = 6
 #: standard deviations of the stationary field that bound a run's step angle
 _ANGLE_SIGMAS = 8.0
 _SEED_LIMIT = 2**64
+#: prctl option that sends a signal to this process when its parent dies (Linux)
+_PR_SET_PDEATHSIG = 1
 #: |simulation - reference| below this counts as exact agreement (z = 0)
 Z_ABS_TOL = 1e-9
 STABILITY_LIMIT = 0.05
@@ -429,9 +433,22 @@ def _share_moments(spec, fp, cfg, round_trip, keep, moments, b0, b1):
                        keep, moments[:, g0:g1])
 
 
-def _child_moments(*share):
-    """A forked worker: fill the share's blocks, or end with exit code 1."""
+def _die_with(parent: int):
+    """Have Linux kill this forked process when parent dies; exit now if it already has."""
+    if not sys.platform.startswith("linux"):
+        return
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent:  # the parent died before the call above
+        sys.exit(1)
+
+
+def _child_moments(parent, *share):
+    """A forked worker: fill the share's blocks, or end with exit code 1; it dies with parent."""
     try:
+        _die_with(parent)
         _share_moments(*share)
     except Exception:  # no traceback on stderr: the parent reports the exit code
         sys.exit(1)
@@ -443,10 +460,12 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds, nbytes):
     The array lies in anonymous shared memory, so every child writes its
     blocks in place and sends nothing back.  With one share no child
     starts.  Every child is joined before this returns or raises, and
-    terminated first if the caller's own share fails.
+    terminated first if the caller's own share fails.  On Linux a child
+    also dies with the caller, by PR_SET_PDEATHSIG: the thread that forks
+    it waits for it, so only the caller's death sends the signal.
     """
     moments = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(3, bounds[-1], len(keep), 3)
-    children = []
+    children, parent = [], os.getpid()
     try:
         for b0, b1 in zip(bounds[1:-1], bounds[2:]):
             # fork, not spawn: a spawned child re-imports numpy and scipy,
@@ -454,7 +473,8 @@ def _forked_moments(spec, fp, cfg, round_trip, keep, bounds, nbytes):
             # ufuncs and SFC64 draws only, never BLAS, whose thread pool
             # is the only other thread the parent may have.
             child = multiprocessing.get_context("fork").Process(
-                target=_child_moments, args=(spec, fp, cfg, round_trip, keep, moments, b0, b1))
+                target=_child_moments,
+                args=(parent, spec, fp, cfg, round_trip, keep, moments, b0, b1))
             child.start()
             children.append(child)
         _share_moments(spec, fp, cfg, round_trip, keep, moments, bounds[0], bounds[1])

@@ -567,13 +567,14 @@ def _running(pid):
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="needs /proc/<pid>/task/<pid>/children")
 def test_a_killed_caller_leaves_no_worker(tmp_path):
-    # 512 trajectories are two blocks, one per process; 20,000 steps keep
-    # 1.4 MB of moments per block, far more than a pipe buffer holds
+    # 512 trajectories are two blocks, one per process; 400,000 steps take
+    # each process over 20 s (21.7 s on a 2-core Xeon), so a worker that
+    # went on with its share after the kill would outlive the deadline
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "mode": "montecarlo", "noise": {"g": [0.05, 0.02, 0.04], "lam": [2, 2, 2]},
         "precession": {"omega0": 1.0},
-        "trajectory": {"dt": 0.01, "n_steps": 20_000, "n_traj": 512, "seed": 3}}))
+        "trajectory": {"dt": 0.01, "n_steps": 400_000, "n_traj": 512, "seed": 3}}))
     caller = subprocess.Popen([sys.executable, "-m", "fiberpol.cli", "--config", str(config)],
                               stdout=subprocess.DEVNULL, env=_src_env())
     workers = []
@@ -585,7 +586,7 @@ def test_a_killed_caller_leaves_no_worker(tmp_path):
         assert workers, "the caller forked no worker"
         caller.kill()
         caller.wait()
-        deadline = time.monotonic() + 30
+        deadline = time.monotonic() + 5
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not any(map(_running, workers)), "a worker outlived its killed caller"
