@@ -274,18 +274,19 @@ def _exact_factors(y, two_dt):
     return np.sin(theta) / norm, (1.0 - np.cos(theta)) / y
 
 
-def _step_factors(y, coef, limit, two_dt, out):
-    """Write S and A for every entry of y = |v|^2 into out, shape (2, len(y)).
+def _step_factors(yy, coef, limit, two_dt, out):
+    """Write S and A into out for every entry of y = |v|^2, yy holding y in both rows.
 
-    One Horner pass evaluates both polynomials of _rotation_series; an entry
-    past limit takes _exact_factors instead, so each entry's bits depend on
-    its own y alone.
+    One Horner pass over out, of yy's shape (2, width), evaluates both
+    polynomials of _rotation_series; an entry past limit takes
+    _exact_factors instead, so each entry's bits depend on its own y alone.
     """
-    np.multiply(y, coef[-1], out=out)
+    np.multiply(yy, coef[-1], out=out)
     for k in range(len(coef) - 2, 0, -1):
         out += coef[k]
-        out *= y
+        out *= yy
     out += coef[0]
+    y = yy[0]
     if y.max() > limit:
         over = np.flatnonzero(y > limit)
         out[:, over] = _exact_factors(y[over], two_dt)
@@ -325,9 +326,12 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
     bloch = np.repeat(cfg.initial.as_array()[:, None], width, axis=1)
     yield bloch
     coef, limit = _rotation_series(spec, fp, cfg.dt)
+    # y and the coefficients at the factors' full shape: faster ufunc loops
+    coef = np.repeat(coef, width, axis=2)
     v, tmp, cross = np.empty((3, 3, width))
-    y, along, w = np.empty((3, width))
-    factors = np.empty((2, width))
+    yy, factors = np.empty((2, 2, width))
+    y = yy[0]
+    along, w = np.empty((2, width))
     s_fac, a_fac = factors  # S and A
     (b0, b1, b2), (v0, v1, v2), (c0, c1, c2), (t0, t1, t2) = bloch, v, cross, tmp
 
@@ -347,11 +351,12 @@ def _propagate(spec: NoiseSpec, fp: FreePrecession, cfg: TrajectoryConfig,
                 scaled *= step_sigma
                 np.add(scaled, drift, out=kicks[:c, :, cols])
             for i in range(c):
-                # y = |v|^2
+                # y = |v|^2, in both rows of yy
                 np.multiply(v, v, out=tmp)
                 np.add(t0, t1, out=y)
                 y += t2
-                _step_factors(y, coef, limit, two_dt, factors)
+                yy[1] = y
+                _step_factors(yy, coef, limit, two_dt, factors)
                 # along = A (v . bloch)
                 np.multiply(v, bloch, out=tmp)
                 np.add(t0, t1, out=along)

@@ -919,7 +919,7 @@ def test_step_factors_match_the_exact_series(degree):
     y = np.concatenate([np.linspace(0.0, limit, 101),
                         np.random.default_rng(degree).uniform(0.0, limit, 100)])
     out = np.empty((2, len(y)))
-    montecarlo._step_factors(y, coef, limit, 2 * dt, out)
+    montecarlo._step_factors(np.stack([y, y]), coef, limit, 2 * dt, out)
     for y_k, s_k, a_k in zip(y, *out):
         for got, first in ((s_k, 1), (a_k, 2)):
             exact = _series_reference(y_k, 2 * dt, first)
