@@ -248,7 +248,8 @@ def _rotation_series(spec: NoiseSpec, fp: FreePrecession, dt: float):
     below _ULP_TERM at the run's angle bound, 2 dt (omega0 / 2 + |mean| +
     _ANGLE_SIGMAS sqrt(sum G)).  Returns the coefficients, shape (degree + 1,
     2, 1), row k holding those of y^k, and the largest y that degree covers
-    to an ulp.  Products and quotients of floats, so the same on every host.
+    to an ulp.  The coefficients are products and quotients of floats; the
+    range takes a root with the C library's pow, once per run.
     """
     two_dt = 2.0 * dt
     speed = 0.5 * abs(fp.omega0) + math.hypot(*spec.mean) + _ANGLE_SIGMAS * math.sqrt(sum(spec.g))
